@@ -219,11 +219,22 @@ def _load_corpus(cfg: RunConfig) -> list[EvaluationSet]:
         raise ConfigError(str(exc)) from None
 
 
-def _load_table(cfg: RunConfig) -> EmbeddingTable | None:
-    if cfg.embeddings is None:
+def _load_table(
+    cfg: RunConfig,
+    metrics: Sequence[ResolvedMetric],
+    corpus: Sequence[EvaluationSet],
+    tagged: dict[tuple[str, str], TaggedSentence] | None,
+) -> EmbeddingTable | None:
+    """Load only the `.vec` rows the run's tokens can look up, and only when
+    some metric needs embeddings.
+    """
+    if cfg.embeddings is None or not any(m.needs_embeddings for m in metrics):
         return None
+    vocab = {
+        tok.norm for ev in corpus for role in _ROLES for tok in _tokens_for(ev, role, tagged)
+    }
     try:
-        return load_vec(cfg.embeddings)
+        return load_vec(cfg.embeddings, vocab_filter=vocab)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -298,13 +309,10 @@ def _apply_duplicate_bad(
 
 
 def _validate_metric_resources(
-    metrics: Sequence[ResolvedMetric],
-    cfg: RunConfig,
-    tagged: dict | None,
-    table: EmbeddingTable | None,
+    metrics: Sequence[ResolvedMetric], cfg: RunConfig, tagged: dict | None
 ) -> None:
     for m in metrics:
-        if m.needs_embeddings and table is None:
+        if m.needs_embeddings and cfg.embeddings is None:
             raise ConfigError(f"metric {m.metric_id!r} requires --embeddings")
         if m.needs_tags and tagged is None:
             raise ConfigError(
@@ -392,13 +400,13 @@ def _run_scoring(cfg: RunConfig) -> ScoringRun:
     corpus = _load_corpus(cfg)
     default_tagset = cfg.tagset if cfg.tagset is not None else _parse_tagset(DEFAULT_TAGSET_NAME)
     metrics = resolve_metrics(cfg.metrics or DEFAULT_METRICS.split(","), default_tagset)
-    table = _load_table(cfg)
     synonyms = _load_synonyms(cfg)
     # tag alignment is positional against the full corpus, so tag first,
-    # sample after
+    # sample after; the embedding vocabulary is that of the sampled sets
     tagged = _build_tagged(cfg, corpus)
     corpus = _subsample(cfg, corpus)
-    _validate_metric_resources(metrics, cfg, tagged, table)
+    _validate_metric_resources(metrics, cfg, tagged)
+    table = _load_table(cfg, metrics, corpus, tagged)
     if cfg.duplicate_bad:
         corpus = _apply_duplicate_bad(corpus, tagged)
     scores: dict[str, dict[str, tuple[float, float]]] = {}

@@ -179,10 +179,6 @@ class TaggedSentence:
         return tuple(tag for _, tag in self.items)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Token, PosTag]]) -> "TaggedSentence":
-        return cls(tuple(pairs))
-
-    @classmethod
     def from_strings(cls, pairs: Iterable[tuple[str, str]]) -> "TaggedSentence":
         """Build from (surface, tag-name) string pairs; convenient for fixtures."""
         return cls(tuple((Token(s), PosTag.parse(t)) for s, t in pairs))

@@ -69,8 +69,11 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     """Load a fastText-style text embedding file.
 
     Token keys are casefolded; when casefolding collides, the first
-    occurrence wins. A row whose value count disagrees with the header
-    dimension raises ValueError naming the line.
+    occurrence wins. With `vocab_filter` set, only rows whose casefolded
+    token is in it are kept, and the values of the other rows are never
+    parsed. Every row's value count is still checked against the header
+    dimension: a mismatch, or a non-numeric value in a kept row, raises
+    ValueError naming the line.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -88,23 +91,24 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
         for lineno, line in enumerate(text, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
-            fields = line.rstrip("\n").split(" ")
-            # fastText pads some rows with a trailing space before the newline
-            if fields and fields[-1] == "":
-                fields.pop()
-            token = fields[0].casefold()
-            values = fields[1:]
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
-                )
+            # one value per separator after the token; fastText pads some
+            # rows with a trailing space before the newline, which adds none
+            count = line.count(" ") - line.endswith((" \n", " "))
+            if count != dim:
+                raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
+            cut = line.find(" ")
+            token = line[:cut].casefold()
             if vocab_filter is not None and token not in vocab_filter:
                 continue
             if token in vectors:
                 continue
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+            fields = line[cut + 1 :].rstrip("\n").split(" ", dim)[:dim]
+            try:
+                vec = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             vec.setflags(write=False)
             vectors[token] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)

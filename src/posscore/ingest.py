@@ -74,10 +74,12 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
     """Load the canonical corpus format: one evaluation set per line.
 
     Lines whose two human scores are equal are skipped (counted and logged);
-    malformed lines raise with their line number. An empty result is an error.
+    malformed lines raise with their line number, and a repeated set id
+    raises naming both lines. An empty result is an error.
     """
     path = Path(path)
     sets: list[EvaluationSet] = []
+    first_line: dict[str, int] = {}
     skipped_ties = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -91,6 +93,11 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
             if not isinstance(obj, dict):
                 raise ValueError(f"{where}: expected a JSON object")
             set_id = str(_require(obj, "id", where))
+            if set_id in first_line:
+                raise ValueError(
+                    f"{where}: duplicate set id {set_id!r} (first on line {first_line[set_id]})"
+                )
+            first_line[set_id] = lineno
             context = _as_context(obj.get("context"))
             reference = _require(obj, "reference", where)
             candidates = _require(obj, "candidates", where)

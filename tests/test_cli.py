@@ -632,3 +632,121 @@ class TestSample:
         full_scores = {(r[0], r[1]): r[4] for r in read_csv(full)[1:]}
         for r in rows:
             assert full_scores[(r[0], r[1])] == r[4]
+
+
+def write_padded_vec(src, dest, fillers=200):
+    """Copy a .vec file, adding rows the corpus never looks up: filler words
+    and, after each real row, a casefold variant that must lose to it.
+    """
+    header, *rows = src.read_text(encoding="utf-8").splitlines()
+    dim = int(header.split()[1])
+    padded = []
+    for i, row in enumerate(rows):
+        token = row.split(" ")[0]
+        padded.append(row)
+        padded.append(" ".join([token.upper()] + ["9.5"] * dim))
+        padded.append(" ".join([f"filler{i}"] + [repr(0.25 * i)] * dim) + " ")
+    padded.extend(" ".join([f"extra{i}"] + ["-1.0"] * dim) for i in range(fillers))
+    dest.write_text(f"{len(padded)} {dim}\n" + "\n".join(padded) + "\n", encoding="utf-8")
+
+
+class TestEmbeddingLoad:
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_padded_vec_gives_identical_csv(self, cli_workspace, tmp_path, tagged):
+        padded = tmp_path / "padded.vec"
+        write_padded_vec(cli_workspace / "vectors.vec", padded)
+        if tagged:
+            source = ["--tags", str(cli_workspace / "tags.tsv")]
+            metrics = "posscore,pwe:ea,ptlc:ea,ea,bleu1"
+        else:
+            source = []
+            metrics = "ea,bleu1"
+        outs = []
+        for vec in (cli_workspace / "vectors.vec", padded):
+            out = tmp_path / f"{vec.stem}.csv"
+            rc = run(
+                "score",
+                "--corpus", str(cli_workspace / "corpus.jsonl"),
+                *source,
+                "--embeddings", str(vec),
+                "--metrics", metrics,
+                "--out", str(out),
+            )
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_vec_not_read_without_embedding_metric(self, cli_workspace, tmp_path, monkeypatch):
+        args = [
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--metrics", "bleu1,meteor",
+        ]
+        plain = tmp_path / "plain.csv"
+        assert run(*args, "--out", str(plain)) == 0
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("load_vec called")
+
+        monkeypatch.setattr("posscore.cli.load_vec", refuse)
+        out = tmp_path / "with_vec.csv"
+        rc = run(*args, "--embeddings", str(cli_workspace / "vectors.vec"), "--out", str(out))
+        assert rc == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_non_numeric_value_exits_2(self, cli_workspace, tmp_path, capsys):
+        vec = tmp_path / "bad.vec"
+        vec.write_text("2 2\ncat 1.0 0.5\nsat 1.0 x\n", encoding="utf-8")
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--embeddings", str(vec),
+            "--metrics", "ea",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.vec: line 3" in err and "'x'" in err
+
+    def test_tag_source_errors_before_vec(self, tmp_path, capsys):
+        corpus = tmp_path / "mini.jsonl"
+        write_mini_corpus(corpus, n=2)
+        tags = tmp_path / "short.tsv"
+        tags.write_text("1\tthe\tDET\n")
+        vec = tmp_path / "bad.vec"
+        vec.write_text("1 2\ncat 1.0\n", encoding="utf-8")
+        rc = run(
+            "score",
+            "--corpus", str(corpus),
+            "--tags", str(tags),
+            "--embeddings", str(vec),
+            "--metrics", "posscore",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert "--tags" in capsys.readouterr().err
+
+
+class TestDuplicateSetIds:
+    def test_duplicate_ids_exit_2(self, tmp_path, capsys):
+        # two sets with one id and opposite preferences: the true power of
+        # bleu1 is 0.5, but keying scores by id would silently report 0.0
+        corpus = tmp_path / "dup.jsonl"
+        rows = [
+            {
+                "id": "s1",
+                "reference": "The cat sat on the mat.",
+                "candidates": [
+                    {"text": "The cat sat on the mat.", "human": hg},
+                    {"text": "It was very happy.", "human": hb},
+                ],
+            }
+            for hg, hb in ((5.0, 1.0), (1.0, 5.0))
+        ]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "report.csv"
+        rc = run("evaluate", "--corpus", str(corpus), "--metrics", "bleu1", "--out", str(out))
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "line 2: duplicate set id 's1' (first on line 1)" in err

@@ -40,6 +40,38 @@ class TestLoadVec:
         table = load_vec(p, vocab_filter={"a"})
         assert len(table) == 1 and "a" in table and "b" not in table
 
+    def test_filtered_out_row_arity_still_checked(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("3 2\na 1.0 0.0\nzzz 0.5\nb 0.0 1.0\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 values, got 1"):
+            load_vec(p, vocab_filter={"a"})
+
+    def test_trailing_space_row_accepted(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("2 2\na 1.0 0.5 \nb 0.0 1.0\n")
+        table = load_vec(p, vocab_filter={"a", "b"})
+        np.testing.assert_array_equal(table.get("a"), [1.0, 0.5])
+        np.testing.assert_array_equal(table.get("b"), [0.0, 1.0])
+
+    def test_non_numeric_value_names_file_and_line(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("2 2\nb 0.0 1.0\na 1.0 x\n")
+        with pytest.raises(ValueError, match=r"t\.vec: line 3: .*'x'"):
+            load_vec(p)
+
+    def test_filtered_out_row_values_not_parsed(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("2 2\nzzz 1.0 x\na 1.0 0.0\n")
+        table = load_vec(p, vocab_filter={"a"})
+        assert len(table) == 1 and "a" in table
+
+    def test_duplicates_keep_first_under_filter(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("4 2\nzzz 5.0 5.0\nParis 1.0 0.0\nPARIS 9.0 9.0\nparis 8.0 8.0\n")
+        table = load_vec(p, vocab_filter={"paris"})
+        assert len(table) == 1
+        np.testing.assert_array_equal(table.get("paris"), [1.0, 0.0])
+
     def test_duplicates_keep_first(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("3 2\na 1.0 0.0\nA 9.0 9.0\nb 0.0 1.0\n")

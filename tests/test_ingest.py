@@ -72,6 +72,13 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match="exactly 2"):
             load_jsonl(p)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        lines = [jsonl_line("s1", 5, 2), jsonl_line("s2", 1, 3), jsonl_line("s1", 2, 5)]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 3: duplicate set id 's1' \(first on line 1\)"):
+            load_jsonl(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("")
