@@ -15,10 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Token
-from .embed import EmbeddingTable, average_embedding, cosine
+from .embed import EmbeddingTable, SentenceVector, average_embedding, cosine
 from .stem import porter_stem
 
 BLEU_EPSILON = 1e-9
@@ -45,21 +45,63 @@ class MetricScore:
             raise ValueError(f"{self.metric_id}: non-finite score {self.value!r}")
 
 
+class PreparedTokens:
+    """A token sequence prepared once for every base metric that scores it.
+
+    Every base metric accepts it wherever it takes tokens. Its Porter stems
+    and its average embedding are computed on first use and then kept. The
+    stems are looked up in `stems`, a norm -> stem dict that callers may
+    share between sequences so that each distinct word is stemmed once.
+    The average is kept for the last table it was asked for.
+    """
+
+    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_table", "_average")
+
+    def __init__(self, tokens: Iterable[Token], stems: dict[str, str] | None = None) -> None:
+        self.tokens = tuple(tokens)
+        self.norms = [t.norm for t in self.tokens]
+        self._stem_dict = {} if stems is None else stems
+        self._stems: list[str] | None = None
+        self._table: EmbeddingTable | None = None
+        self._average: SentenceVector | None = None
+
+    @property
+    def stems(self) -> list[str]:
+        if self._stems is None:
+            known = self._stem_dict
+            self._stems = [
+                known[n] if n in known else known.setdefault(n, porter_stem(n))
+                for n in self.norms
+            ]
+        return self._stems
+
+    def average(self, table: EmbeddingTable) -> SentenceVector:
+        if self._average is None or self._table is not table:
+            self._average = average_embedding(self.tokens, table)
+            self._table = table
+        return self._average
+
+
+Tokens = Sequence[Token] | PreparedTokens
+
+
+def _prepared(tokens: Tokens) -> PreparedTokens:
+    return tokens if isinstance(tokens, PreparedTokens) else PreparedTokens(tokens)
+
+
 def _ngram_counts(norms: Sequence[str], k: int) -> Counter:
     return Counter(tuple(norms[i : i + k]) for i in range(len(norms) - k + 1))
 
 
-def bleu_n(
-    reference: Sequence[Token], candidate: Sequence[Token], n: int
-) -> MetricScore:
+def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
     """Sentence-level BLEU-n: clipped k-gram precisions for k=1..n under
     uniform weights, times the brevity penalty. Empty candidate scores 0.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"BLEU order must be in 1..4, got {n}")
     metric_id = f"bleu{n}"
-    ref = [t.norm for t in reference]
-    cand = [t.norm for t in candidate]
+    ref = _prepared(reference).norms
+    cand = _prepared(candidate).norms
     if not cand:
         return MetricScore(metric_id, 0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(len(ref))})
     details: dict[str, float] = {
@@ -115,19 +157,19 @@ class SynonymLexicon:
 
 
 def _match_edges(
-    cand: Sequence[str], ref: Sequence[str], synonyms: SynonymLexicon | None
+    cand: PreparedTokens, ref: PreparedTokens, synonyms: SynonymLexicon | None
 ) -> list[list[int]]:
-    """adj[i] = reference positions j that candidate position i may align to."""
-    ref_stems = [porter_stem(w) for w in ref]
-    cand_stems = [porter_stem(w) for w in cand]
+    """adj[i] = reference positions j that candidate position i may align to.
+
+    An exact match is also a stem match, so the first two stages are one test.
+    """
+    ref_words = list(zip(ref.norms, ref.stems))
     adj: list[list[int]] = []
-    for i, cw in enumerate(cand):
+    for cw, cs in zip(cand.norms, cand.stems):
         row = [
             j
-            for j, rw in enumerate(ref)
-            if cw == rw
-            or cand_stems[i] == ref_stems[j]
-            or (synonyms is not None and synonyms.related(cw, rw))
+            for j, (rw, rs) in enumerate(ref_words)
+            if cs == rs or (synonyms is not None and synonyms.related(cw, rw))
         ]
         adj.append(row)
     return adj
@@ -136,22 +178,34 @@ def _match_edges(
 def _max_matching(adj: list[list[int]], n_ref: int) -> list[int]:
     """Kuhn's augmenting-path maximum bipartite matching.
 
-    Returns match_of_ref (length n_ref, -1 = free). Deterministic.
+    Returns match_of_ref (length n_ref, -1 = free). Deterministic. The
+    depth-first search runs on an explicit stack, trying each adj[i] in
+    order, so long inputs cannot exhaust the interpreter's recursion limit.
     """
     match_of_ref = [-1] * n_ref
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adj[i]:
-            if not visited[j]:
-                visited[j] = True
-                if match_of_ref[j] == -1 or try_augment(match_of_ref[j], visited):
-                    match_of_ref[j] = i
-                    return True
-        return False
-
-    for i in range(len(adj)):
-        try_augment(i, [False] * n_ref)
+    for root in range(len(adj)):
+        visited = [False] * n_ref
+        # one [candidate, index of the edge it is trying] per level of the
+        # search; a level below follows the candidate matched to that edge
+        path = [[root, -1]]
+        while path:
+            top = path[-1]
+            row = adj[top[0]]
+            k = top[1] + 1
+            while k < len(row) and visited[row[k]]:
+                k += 1
+            if k == len(row):
+                path.pop()
+                continue
+            top[1] = k
+            visited[row[k]] = True
+            if match_of_ref[row[k]] == -1:
+                for i, edge in path:
+                    match_of_ref[adj[i][edge]] = i
+                break
+            path.append([match_of_ref[row[k]], -1])
     return match_of_ref
+
 
 def _count_chunks(pairs: list[tuple[int, int]]) -> int:
     """Chunks of an alignment given (cand_pos, ref_pos) pairs in cand order."""
@@ -228,25 +282,23 @@ def _min_chunk_alignment(
 
 
 def meteor(
-    reference: Sequence[Token],
-    candidate: Sequence[Token],
-    synonyms: SynonymLexicon | None = None,
+    reference: Tokens, candidate: Tokens, synonyms: SynonymLexicon | None = None
 ) -> MetricScore:
     """METEOR with exact/stem/synonym matching stages.
 
     Alignment maximizes match count, then minimizes chunk count; the final
     score depends on the alignment only through (matches, chunks).
     """
-    ref = [t.norm for t in reference]
-    cand = [t.norm for t in candidate]
-    if not ref or not cand:
+    ref = _prepared(reference)
+    cand = _prepared(candidate)
+    if not ref.norms or not cand.norms:
         return MetricScore("meteor", 0.0, {"matches": 0.0, "chunks": 0.0})
     adj = _match_edges(cand, ref, synonyms)
-    matches, chunks, exact = _min_chunk_alignment(adj, len(ref))
+    matches, chunks, exact = _min_chunk_alignment(adj, len(ref.norms))
     if matches == 0:
         return MetricScore("meteor", 0.0, {"matches": 0.0, "chunks": 0.0})
-    precision = matches / len(cand)
-    recall = matches / len(ref)
+    precision = matches / len(cand.norms)
+    recall = matches / len(ref.norms)
     f_mean = (precision * recall) / (
         METEOR_ALPHA * precision + (1.0 - METEOR_ALPHA) * recall
     )
@@ -264,11 +316,11 @@ def meteor(
 
 
 def embedding_average(
-    reference: Sequence[Token], candidate: Sequence[Token], table: EmbeddingTable
+    reference: Tokens, candidate: Tokens, table: EmbeddingTable
 ) -> MetricScore:
     """Cosine between the average embeddings of the two token sequences."""
-    u = average_embedding(reference, table)
-    v = average_embedding(candidate, table)
+    u = _prepared(reference).average(table)
+    v = _prepared(candidate).average(table)
     value = cosine(u, v)
     return MetricScore(
         "ea",

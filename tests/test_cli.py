@@ -750,3 +750,152 @@ class TestDuplicateSetIds:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "line 2: duplicate set id 's1' (first on line 1)" in err
+
+
+BASES = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "ea")
+
+
+def write_related_synonyms(path):
+    """Synonym pairs between words the fixture corpus uses."""
+    path.write_text("cat\tdog\nsat\tran\nmat\troof\nhappy\tbig\n", encoding="utf-8")
+
+
+def run_sentences(ws, tagged, duplicate):
+    """(set id, role) -> the sentence a run scores, built without the CLI."""
+    from posscore.core import TaggedSentence
+    from posscore.ingest import load_jsonl
+    from posscore.metaeval import duplicate_bad
+    from posscore.postag import remap_aux_to_verb
+
+    corpus = load_jsonl(ws / "corpus.jsonl")
+    out = {}
+    if tagged:
+        sentences = load_tagged(ws / "tags.tsv")
+        for i, ev in enumerate(corpus):
+            for k, role in enumerate(("ref", "a", "b")):
+                out[(ev.id, role)] = remap_aux_to_verb(sentences[3 * i + k])
+        if duplicate:
+            for ev in corpus:
+                bad = (ev.id, "b" if ev.good_slot == "a" else "a")
+                out[bad] = TaggedSentence(out[bad].items + out[bad].items)
+        return out
+    if duplicate:
+        corpus = duplicate_bad(corpus)
+    for ev in corpus:
+        for role, text in (("ref", ev.reference), ("a", ev.candidate_a), ("b", ev.candidate_b)):
+            out[(ev.id, role)] = tokenize(text)
+    return out
+
+
+def direct_scorer(metric_id, tagset_name, table, synonyms, count_punct):
+    """scorer(ref, cand) -> value through the public function the id names."""
+    from posscore import TagSet, bleu_n, embedding_average, meteor, posscore, ptlc, pwe
+
+    head, _, rest = metric_id.partition(":")
+    tags = TagSet.parse(tagset_name) if tagset_name else None
+    if head == "posscore":
+        return lambda r, c: posscore(r, c, tags, table, count_punct).value
+    if head in ("pwe", "ptlc"):
+        fn, base = (pwe if head == "pwe" else ptlc), rest.split(":")[0]
+        return lambda r, c: fn(r, c, tags, base, table, synonyms).value
+
+    def tokens(s):
+        return list(s.tokens) if hasattr(s, "tokens") else s
+
+    if head == "meteor":
+        return lambda r, c: meteor(tokens(r), tokens(c), synonyms).value
+    if head == "ea":
+        return lambda r, c: embedding_average(tokens(r), tokens(c), table).value
+    return lambda r, c: bleu_n(tokens(r), tokens(c), int(head[-1])).value
+
+
+class TestRegistryOracle:
+    """Every `score` value equals repr() of the direct public-function call."""
+
+    RUNS = {
+        "tags": (
+            True,
+            ["posscore"] + [f"{f}:{b}" for f in ("pwe", "ptlc") for b in BASES] + list(BASES),
+            [],
+        ),
+        "tags-options": (
+            True,
+            ["posscore:verb+noun", "pwe:meteor:adj+propn+noun", "ptlc:ea:verb",
+             "ptlc:bleu2:adv+verb", "pwe:ea", "ptlc:meteor", "meteor", "ea", "bleu3"],
+            ["--count-punct", "off", "--synonyms", "--duplicate-bad",
+             "--tagset", "adj+verb+propn+noun"],
+        ),
+        "tokens": (False, list(BASES), []),
+        "tokens-options": (False, list(BASES), ["--synonyms", "--duplicate-bad"]),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_csv_equals_direct_calls(self, cli_workspace, tmp_path, name):
+        from posscore import SynonymLexicon, load_vec
+
+        tagged, metrics, options = self.RUNS[name]
+        syn_path = tmp_path / "syn.tsv"
+        write_related_synonyms(syn_path)
+        synonyms = SynonymLexicon.load(syn_path) if "--synonyms" in options else None
+        options = [x for o in options for x in ([o, str(syn_path)] if o == "--synonyms" else [o])]
+        source = ["--tags", str(cli_workspace / "tags.tsv")] if tagged else []
+        out = tmp_path / "scores.csv"
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            *source,
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", ",".join(metrics),
+            *options,
+            "--out", str(out),
+        )
+        assert rc == 0
+        rows = read_csv(out)[1:]
+        assert len({r[2] for r in rows}) == len(metrics)
+
+        table = load_vec(cli_workspace / "vectors.vec")
+        sentences = run_sentences(cli_workspace, tagged, "--duplicate-bad" in options)
+        count_punct = "off" not in options
+        for set_id, slot, metric_id, tagset_name, value in rows:
+            score = direct_scorer(metric_id, tagset_name, table, synonyms, count_punct)
+            expected = score(sentences[(set_id, "ref")], sentences[(set_id, slot)])
+            assert value == repr(expected), (set_id, slot, metric_id)
+
+
+class TestPrepareOnce:
+    @pytest.mark.parametrize("count_punct", ["on", "off"])
+    def test_stems_and_splits_computed_once(self, cli_workspace, tmp_path, monkeypatch, count_punct):
+        import posscore.basemetrics as basemetrics
+        import posscore.posmetrics as posmetrics
+        from posscore.core import DEFAULT_TAG_SET, TagSet
+
+        stemmed, splits = [], []
+        real_stem, real_split = basemetrics.porter_stem, posmetrics.pos_split
+
+        def counting_stem(word):
+            stemmed.append(word)
+            return real_stem(word)
+
+        def counting_split(sentence, tags, count_punct=True):
+            splits.append((tags, count_punct))
+            return real_split(sentence, tags, count_punct)
+
+        monkeypatch.setattr(basemetrics, "porter_stem", counting_stem)
+        monkeypatch.setattr(posmetrics, "pos_split", counting_split)
+        rc = run(
+            "evaluate",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", "posscore,pwe:meteor,ptlc:bleu1:verb+noun,ptlc:meteor,meteor,ea",
+            "--count-punct", count_punct,
+            "--out", str(tmp_path / "report.csv"),
+        )
+        assert rc == 0
+        norms = {tok.norm for s in load_tagged(cli_workspace / "tags.tsv") for tok in s.tokens}
+        assert sorted(stemmed) == sorted(norms)
+        keys = {(DEFAULT_TAG_SET, True), (TagSet.parse("verb+noun"), True)}
+        keys.add((DEFAULT_TAG_SET, count_punct == "on"))
+        assert set(splits) == keys
+        n_sets = len((cli_workspace / "corpus.jsonl").read_text().splitlines())
+        assert len(splits) == 3 * n_sets * len(keys)

@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from posscore.basemetrics import bleu_n, embedding_average, meteor
 from posscore.core import PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
 from posscore.posmetrics import (
     BASE_METRIC_IDS,
+    PreparedSentence,
     pos_split,
     pos_weight,
     posscore,
@@ -74,14 +76,18 @@ class TestPosWeight:
         st.floats(min_value=0.01, max_value=1.0),
         st.floats(min_value=0.01, max_value=1.0),
     )
+    @example(n_ref=0.9999999999999999, n_cand=1.0)
     def test_branch_law(self, n_ref, n_cand):
         w = pos_weight(n_ref, n_cand).value
+        assert w == math.exp(1 - n_ref / n_cand)
+        # within an ulp or so of 1, exp(1 - n_ref/n_cand) rounds to exactly 1.0
+        strict = abs(1 - n_ref / n_cand) > 1e-15
         if n_ref > n_cand:
-            assert w < 1.0
+            assert w < 1.0 if strict else w <= 1.0
         elif n_ref == n_cand:
             assert w == pytest.approx(1.0)
         else:
-            assert w > 1.0
+            assert w > 1.0 if strict else w >= 1.0
         assert 0.0 < w < math.e or w == pytest.approx(math.e)
 
     @given(
@@ -263,3 +269,29 @@ class TestBaseMetricRoster:
         for base in BASE_METRIC_IDS:
             score = ptlc(ref, cand, DEFAULT, base, table=toy_table)
             assert score.value >= 0.0
+
+
+class TestPreparedSentence:
+    def test_prepared_input_scores_like_plain_input(self, toy_table):
+        # one prepared pair serves every tag set, count_punct and base in
+        # turn, so each score also reads memos filled by the scores before it
+        rng = random.Random(5)
+        stems = {}
+        for _ in range(40):
+            ref, cand = random_tagged_sentence(rng), random_tagged_sentence(rng)
+            p_ref, p_cand = PreparedSentence(ref, stems), PreparedSentence(cand, stems)
+            for tags in (DEFAULT, NOUN_VERB, FULL):
+                for count_punct in (False, True):
+                    assert posscore(p_ref, p_cand, tags, toy_table, count_punct) == posscore(
+                        ref, cand, tags, toy_table, count_punct
+                    )
+                for base in BASE_METRIC_IDS:
+                    for fn in (pwe, ptlc):
+                        assert fn(p_ref, p_cand, tags, base, toy_table) == fn(
+                            ref, cand, tags, base, toy_table
+                        )
+            plain = (list(ref.tokens), list(cand.tokens))
+            assert meteor(p_ref, p_cand) == meteor(*plain)
+            assert embedding_average(p_ref, p_cand, toy_table) == embedding_average(*plain, toy_table)
+            for n in (1, 2, 3, 4):
+                assert bleu_n(p_ref, p_cand, n) == bleu_n(*plain, n)
