@@ -1,7 +1,7 @@
 """Command-line front end for scoring, meta-evaluation, analysis, tagging,
 and corpus conversion.
 
-Every command is a pure function of its config and input files: identical
+Every command is a pure function of its flags and input files: identical
 inputs produce byte-identical outputs. Exit codes: 0 success, 1 internal
 error, 2 invalid config or input.
 """
@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .basemetrics import SynonymLexicon, load_external_scores
 # the benchmark's tests check that its instruments rebind these names here
@@ -24,10 +24,9 @@ from .core import (
     EvaluationSet,
     TaggedSentence,
     TagSet,
-    Token,
     tokenize,
 )
-from .embed import EmbeddingTable, load_vec
+from .embed import load_vec
 from .ingest import (
     build_forum_sets,
     build_usr_sets,
@@ -39,18 +38,15 @@ from .ingest import (
     write_jsonl,
 )
 from .metaeval import (
-    AgreementVector,
     PowerResult,
     bonferroni,
-    duplicate_bad,
     kendall_tau,
     paired_ttest,
     pos_distribution,
     predictive_power,
 )
-from .posmetrics import BASE_METRIC_IDS, Metric, score_sets
+from .posmetrics import BASE_METRIC_IDS, Metric, Response, score_sets
 from .postag import (
-    TaggerModel,
     load_model,
     load_tagged,
     remap_aux_to_verb,
@@ -67,77 +63,66 @@ DEFAULT_TAGSET_NAME = "adj+adv+verb+propn+noun"
 ANALYZE_TAGSET_NAME = "adj+adv+verb+propn+noun+pron"
 DEFAULT_GROUPS = "reference,good,bad"
 
-_TRUTHY = {"on", "true", "yes", "1"}
-_FALSY = {"off", "false", "no", "0"}
-
 
 class ConfigError(Exception):
     """Invalid configuration or input; reported on stderr with exit code 2."""
 
 
-def _resolve_resource(raw: str | None, flag: str, must_exist: bool = True) -> Path | None:
-    """Resolve an input path, falling back to POSSCORE_DATA_DIR for relative
-    paths that do not exist as given. Missing files name the flag.
+# ---------------------------------------------------------------------------
+# flag values: argparse converts each once, from the command line and from a
+# config file alike, and reports a bad one as "argument --flag: ..."
+
+
+def _input_path(raw: str) -> Path:
+    """An input file. A relative path that does not exist as given falls back
+    to POSSCORE_DATA_DIR.
     """
-    if raw is None:
-        return None
     path = Path(raw)
     if not path.is_absolute() and not path.exists():
         root = os.environ.get(ENV_DATA_DIR)
         if root and (Path(root) / path).exists():
             path = Path(root) / path
-    if must_exist and not path.exists():
-        raise ConfigError(f"{flag}: file not found: {raw}")
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"file not found: {raw}")
     return path
 
 
-def _parse_bool(value: str | bool | None, flag: str, default: bool) -> bool:
-    if value is None:
-        return default
-    if isinstance(value, bool):
-        return value
+def _on_off(value: str) -> bool:
     lowered = value.strip().lower()
-    if lowered in _TRUTHY:
+    if lowered in ("on", "true", "yes", "1"):
         return True
-    if lowered in _FALSY:
+    if lowered in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"{flag}: expected on/off, got {value!r}")
+    raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
 
 
 def _parse_tagset(name: str, flag: str = "--tagset") -> TagSet:
+    # raises ConfigError, which argparse passes through, so the message keeps
+    # the flag name and TagSet.parse's reason
     try:
         return TagSet.parse(name)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-@dataclass
-class RunConfig:
-    """Everything a command needs, resolved from flags and the config file."""
+def _list(value: str) -> list[str]:
+    items = [item.strip() for item in value.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty list {value!r}")
+    return items
 
-    command: str
-    corpus: Path | None = None
-    embeddings: Path | None = None
-    tags: Path | None = None
-    tagger_model: Path | None = None
-    tagset: TagSet | None = None
-    metrics: list[str] | None = None
-    external_scores: Path | None = None
-    baseline: str | None = None
-    count_punct: bool = True
-    aux_as_verb: bool = True
-    sample: int | None = None
-    seed: int = 0
-    out: Path | None = None
-    synonyms: Path | None = None
-    duplicate_bad: bool = False
-    bonferroni: bool = False
-    groups: list[str] | None = None
-    forum_json: Path | None = None
-    train_path: Path | None = None
-    epochs: int = 5
-    input: Path | None = None
-    format: str | None = None
+
+_GROUP_NAMES = ("reference", "good", "bad")
+
+
+def _groups(value: str) -> list[str]:
+    groups = _list(value)
+    for g in groups:
+        if g not in _GROUP_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown group {g!r}; expected a subset of {','.join(_GROUP_NAMES)}"
+            )
+    return groups
 
 
 def parse_metric_spec(spec: str, default_tagset: TagSet) -> Metric:
@@ -184,116 +169,62 @@ def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric
 # ---------------------------------------------------------------------------
 # scoring pipeline shared by score / evaluate / correlate
 
-_ROLES = ("ref", "a", "b")
+#: One evaluation set with what the metrics score for its reference and its
+#: two candidates: tagged sentences when the run has a tag source, else the
+#: tokenized texts.
+Row = tuple[EvaluationSet, Response, Response, Response]
 
 
-def _load_corpus(cfg: RunConfig) -> list[EvaluationSet]:
-    if cfg.corpus is None:
+def _load_corpus(args: argparse.Namespace) -> list[EvaluationSet]:
+    if args.corpus is None:
         raise ConfigError("--corpus is required")
-    return load_jsonl(cfg.corpus)
+    return load_jsonl(args.corpus)
 
 
-def _load_table(
-    cfg: RunConfig,
-    metrics: Sequence[Metric],
-    corpus: Sequence[EvaluationSet],
-    tagged: dict[tuple[str, str], TaggedSentence] | None,
-) -> EmbeddingTable | None:
-    """Load only the `.vec` rows the run's tokens can look up, and only when
-    some metric needs embeddings.
-    """
-    if cfg.embeddings is None or not any(m.needs_embeddings for m in metrics):
-        return None
-    sentences = (_sentence(ev, role, tagged) for ev in corpus for role in _ROLES)
-    vocab = {tok.norm for s in sentences for tok in (s.tokens if tagged is not None else s)}
-    return load_vec(cfg.embeddings, vocab_filter=vocab)
+def _texts(corpus: Iterable[EvaluationSet]) -> Iterator[str]:
+    """Reference, candidate a and candidate b of each set, in corpus order."""
+    for ev in corpus:
+        yield from (ev.reference, ev.candidate_a, ev.candidate_b)
 
 
-def _build_tagged(
-    cfg: RunConfig, corpus: Sequence[EvaluationSet]
-) -> dict[tuple[str, str], TaggedSentence] | None:
-    """Tagged sentences per (set id, role), from a tags file or a tagger model.
+def _has_tag_source(args: argparse.Namespace) -> bool:
+    return args.tags is not None or args.tagger_model is not None
+
+
+def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
+    """One row per sampled set, each response tagged or tokenized once.
 
     A tags file carries three sentences per evaluation set in corpus order:
     reference, candidate a, candidate b. Its tokenization is authoritative
     for all metrics in the run.
     """
-    if cfg.tags is not None:
-        sentences = load_tagged(cfg.tags)
+    if args.tags is not None:
+        sentences = load_tagged(args.tags)
         if len(sentences) != 3 * len(corpus):
             raise ConfigError(
                 f"--tags: expected {3 * len(corpus)} sentences "
                 f"(3 per evaluation set), found {len(sentences)}"
             )
-    elif cfg.tagger_model is not None:
-        sentences = _tag_texts(load_model(cfg.tagger_model), corpus)
+    elif args.tagger_model is not None:
+        model = load_model(args.tagger_model)
+        sentences = (run_tagger(model, tokenize(text)) for text in _texts(corpus))
     else:
-        return None
-    keys = ((ev.id, role) for ev in corpus for role in _ROLES)
-    return {
-        key: remap_aux_to_verb(sent) if cfg.aux_as_verb else sent
-        for key, sent in zip(keys, sentences)
-    }
+        sentences = map(tokenize, _texts(corpus))
+    if _has_tag_source(args) and args.aux_as_verb:
+        sentences = map(remap_aux_to_verb, sentences)
+    # tags are aligned by position against the full corpus, so align first
+    # and sample after; the sample picks by position and seed only
+    it = iter(sentences)
+    return _subsample(args, zip(corpus, it, it, it))
 
 
-def _tag_texts(model: TaggerModel, corpus: Sequence[EvaluationSet]) -> Iterator[TaggedSentence]:
-    """Reference, candidate a and candidate b of each set, tagged in corpus order."""
-    for ev in corpus:
-        for text in (ev.reference, ev.candidate_a, ev.candidate_b):
-            yield run_tagger(model, tokenize(text))
-
-
-def _apply_duplicate_bad(
-    corpus: list[EvaluationSet],
-    tagged: dict[tuple[str, str], TaggedSentence] | None,
-) -> list[EvaluationSet]:
-    """Double the bad candidate's text, and its tagged form when present."""
-    if tagged is not None:
-        for ev in corpus:
-            role = "b" if ev.good_slot == "a" else "a"
-            sent = tagged[(ev.id, role)]
-            tagged[(ev.id, role)] = TaggedSentence(sent.items + sent.items)
-    return duplicate_bad(corpus)
-
-
-def _validate_metric_resources(
-    metrics: Sequence[Metric], cfg: RunConfig, tagged: dict | None
-) -> None:
-    for m in metrics:
-        if m.needs_embeddings and cfg.embeddings is None:
-            raise ConfigError(f"metric {m.metric_id!r} requires --embeddings")
-        if m.needs_tags and tagged is None:
-            raise ConfigError(
-                f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
-            )
-
-
-def _sentence(
-    ev: EvaluationSet,
-    role: str,
-    tagged: dict[tuple[str, str], TaggedSentence] | None,
-) -> TaggedSentence | list[Token]:
-    """What the metrics score: the tagged sentence, else the tokenized text."""
-    if tagged is not None:
-        return tagged[(ev.id, role)]
-    return tokenize(ev.reference if role == "ref" else ev.candidate(role))
-
-
-def _join_external(
-    cfg: RunConfig, corpus: Sequence[EvaluationSet]
-) -> dict[str, dict[str, tuple[float, float]]]:
-    """External score files appear as metric id ``ext:<file stem>``."""
-    if cfg.external_scores is None:
-        return {}
-    ext = load_external_scores(cfg.external_scores)
-    ext_id = f"ext:{cfg.external_scores.stem}"
-    per = {}
-    for ev in corpus:
-        try:
-            per[ev.id] = ext.pair(ev.id)
-        except KeyError as exc:
-            raise ConfigError(f"--external-scores: {exc.args[0]}") from None
-    return {ext_id: per}
+def _duplicate_bad(row: Row) -> Row:
+    """The bad candidate said twice, as tokenize(f"{text} {text}") would give it."""
+    ev, *responses = row
+    i = 1 if ev.bad_slot == "a" else 2
+    bad = responses[i]
+    responses[i] = TaggedSentence(bad.items * 2) if isinstance(bad, TaggedSentence) else bad * 2
+    return (ev, *responses)
 
 
 @dataclass
@@ -304,33 +235,44 @@ class ScoringRun:
     scores: dict[str, dict[str, tuple[float, float]]]
 
 
-def _subsample(cfg: RunConfig, corpus: list[EvaluationSet]) -> list[EvaluationSet]:
-    if cfg.sample is not None and cfg.sample < len(corpus):
-        return reservoir_sample(corpus, cfg.sample, cfg.seed)
-    return corpus
+def _subsample(args: argparse.Namespace, items: Iterable) -> list:
+    if args.sample is None:
+        return list(items)
+    return reservoir_sample(items, args.sample, args.seed)
 
 
-def _run_scoring(cfg: RunConfig) -> ScoringRun:
-    corpus = _load_corpus(cfg)
-    default_tagset = cfg.tagset if cfg.tagset is not None else _parse_tagset(DEFAULT_TAGSET_NAME)
-    metrics = resolve_metrics(cfg.metrics or DEFAULT_METRICS.split(","), default_tagset)
-    synonyms = SynonymLexicon.load(cfg.synonyms) if cfg.synonyms is not None else None
-    # tag alignment is positional against the full corpus, so tag first,
-    # sample after; the embedding vocabulary is that of the sampled sets
-    tagged = _build_tagged(cfg, corpus)
-    corpus = _subsample(cfg, corpus)
-    _validate_metric_resources(metrics, cfg, tagged)
-    table = _load_table(cfg, metrics, corpus, tagged)
-    if cfg.duplicate_bad:
-        corpus = _apply_duplicate_bad(corpus, tagged)
-    # sentences are built lazily, set by set, as the scoring reaches them
-    sets = ((ev.id, *(_sentence(ev, role, tagged) for role in _ROLES)) for ev in corpus)
-    scores = score_sets(metrics, sets, table, synonyms, cfg.count_punct)
+def _run_scoring(args: argparse.Namespace) -> ScoringRun:
+    corpus = _load_corpus(args)
+    metrics = resolve_metrics(args.metrics, args.tagset)
+    for m in metrics:
+        if m.needs_embeddings and args.embeddings is None:
+            raise ConfigError(f"metric {m.metric_id!r} requires --embeddings")
+        if m.needs_tags and not _has_tag_source(args):
+            raise ConfigError(
+                f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
+            )
+    synonyms = SynonymLexicon.load(args.synonyms) if args.synonyms is not None else None
+    rows = _rows(args, corpus)
+    table = None
+    if args.embeddings is not None and any(m.needs_embeddings for m in metrics):
+        # load only the `.vec` rows the run's tokens can look up
+        vocab = {tok.norm for row in rows for r in row[1:]
+                 for tok in (r.tokens if isinstance(r, TaggedSentence) else r)}
+        table = load_vec(args.embeddings, vocab_filter=vocab)
+    if args.duplicate_bad:
+        rows = [_duplicate_bad(row) for row in rows]
+    sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
+    scores = score_sets(metrics, sets, table, synonyms, args.count_punct)
     tagset_names = {m.metric_id: m.tagset.name if m.tagset else "" for m in metrics}
-    for ext_id, per in _join_external(cfg, corpus).items():
-        if ext_id in scores:
-            raise ConfigError(f"--external-scores: metric id {ext_id!r} already in use")
-        scores[ext_id] = per
+    corpus = [row[0] for row in rows]
+    if args.external_scores is not None:
+        # an external score file joins the run as metric id ext:<file stem>
+        ext = load_external_scores(args.external_scores)
+        ext_id = f"ext:{args.external_scores.stem}"
+        try:
+            scores[ext_id] = {ev.id: ext.pair(ev.id) for ev in corpus}
+        except KeyError as exc:
+            raise ConfigError(f"--external-scores: {exc.args[0]}") from None
         tagset_names[ext_id] = ""
     return ScoringRun(
         corpus=corpus,
@@ -347,39 +289,32 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _require_out(cfg: RunConfig) -> Path:
-    if cfg.out is None:
-        raise ConfigError("--out is required")
-    return cfg.out
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    run = _run_scoring(cfg)
+def cmd_score(args: argparse.Namespace) -> int:
+    run = _run_scoring(args)
     rows = []
     for ev in sorted(run.corpus, key=lambda e: e.id):
         for slot_idx, slot in enumerate(("a", "b")):
             for mid in run.metric_ids:
                 value = run.scores[mid][ev.id][slot_idx]
                 rows.append([ev.id, slot, mid, run.tagset_names[mid], repr(value)])
-    _write_csv(out, ["set_id", "slot", "metric_id", "tagset", "score"], rows)
+    _write_csv(args.out, ["set_id", "slot", "metric_id", "tagset", "score"], rows)
     return 0
 
 
 def _pick_baseline(
-    run: ScoringRun, cfg: RunConfig, results: dict[str, PowerResult]
+    run: ScoringRun, args: argparse.Namespace, results: dict[str, PowerResult]
 ) -> str | None:
     """Explicit --baseline wins; otherwise the best-powered classic baseline."""
-    if cfg.baseline is not None:
-        if cfg.baseline not in run.scores:
+    if args.baseline is not None:
+        if args.baseline not in run.scores:
             raise ConfigError(
-                f"--baseline: metric {cfg.baseline!r} is not among the computed metrics"
+                f"--baseline: metric {args.baseline!r} is not among the computed metrics"
             )
-        return cfg.baseline
+        return args.baseline
     candidates = [
         mid
         for mid in run.metric_ids
@@ -391,19 +326,15 @@ def _pick_baseline(
     return max(sorted(candidates), key=lambda mid: results[mid].power)
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    run = _run_scoring(cfg)
-    vectors: dict[str, AgreementVector] = {}
-    results = {}
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    run = _run_scoring(args)
+    results, vectors = {}, {}
     for mid in run.metric_ids:
-        result, vector = predictive_power(run.corpus, run.scores[mid], mid)
-        results[mid] = result
-        vectors[mid] = vector
-    baseline = _pick_baseline(run, cfg, results)
+        results[mid], vectors[mid] = predictive_power(run.corpus, run.scores[mid], mid)
+    baseline = _pick_baseline(run, args, results)
     n_comparisons = max(len(run.metric_ids) - 1, 1)
     header = ["metric_id", "tagset", "power", "correct", "total", "p_vs_baseline"]
-    if cfg.bonferroni:
+    if args.bonferroni:
         header.append("p_bonferroni")
     rows = []
     for mid in run.metric_ids:
@@ -411,103 +342,90 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         p = paired_ttest(vectors[mid], vectors[baseline]) if baseline is not None else None
         row = [mid, run.tagset_names[mid], repr(r.power), r.correct, r.total]
         row.append("" if p is None else repr(p))
-        if cfg.bonferroni:
+        if args.bonferroni:
             row.append("" if p is None else repr(bonferroni(p, n_comparisons)))
         rows.append(row)
-    _write_csv(out, header, rows)
+    _write_csv(args.out, header, rows)
     return 0
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    run = _run_scoring(cfg)
+def cmd_correlate(args: argparse.Namespace) -> int:
+    run = _run_scoring(args)
     order = sorted(run.corpus, key=lambda e: e.id)
     ids = run.metric_ids
     vectors = {mid: [s for ev in order for s in run.scores[mid][ev.id]] for mid in ids}
     rows = [[mid] + [repr(kendall_tau(vectors[mid], vectors[o])) for o in ids] for mid in ids]
-    _write_csv(out, ["metric_id"] + ids, rows)
+    _write_csv(args.out, ["metric_id"] + ids, rows)
     return 0
 
 
-_GROUP_NAMES = ("reference", "good", "bad")
+def _group_response(row: Row, group: str) -> Response:
+    ev, ref, a, b = row
+    if group == "reference":
+        return ref
+    slot = ev.good_slot if group == "good" else ev.bad_slot
+    return a if slot == "a" else b
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    corpus = _load_corpus(cfg)
-    tagged = _build_tagged(cfg, corpus)
-    if tagged is None:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
+    if not _has_tag_source(args):
         raise ConfigError("analyze requires a tag source (--tags or --tagger-model)")
-    corpus = _subsample(cfg, corpus)
-    tagset = cfg.tagset if cfg.tagset is not None else _parse_tagset(ANALYZE_TAGSET_NAME)
-    groups = cfg.groups if cfg.groups is not None else DEFAULT_GROUPS.split(",")
-    for g in groups:
-        if g not in _GROUP_NAMES:
-            raise ConfigError(
-                f"--groups: unknown group {g!r}; expected a subset of {','.join(_GROUP_NAMES)}"
-            )
-    out.mkdir(parents=True, exist_ok=True)
-
-    def role(ev: EvaluationSet, group: str) -> str:
-        if group == "reference":
-            return "ref"
-        bad_slot = "b" if ev.good_slot == "a" else "a"
-        return ev.good_slot if group == "good" else bad_slot
-
-    rows = []
-    for group in groups:
-        dist = pos_distribution([tagged[(ev.id, role(ev, group))] for ev in corpus], tagset)
+    rows = _rows(args, corpus)
+    args.out.mkdir(parents=True, exist_ok=True)
+    table = []
+    for group in args.groups:
+        dist = pos_distribution([_group_response(row, group) for row in rows], args.tagset)
         for t in TAG_DISPLAY_ORDER:
             if t in dist:
-                rows.append([group, t.value, repr(dist[t])])
-    _write_csv(out / "pos_distribution.csv", ["group", "tag", "mean_count"], rows)
+                table.append([group, t.value, repr(dist[t])])
+    _write_csv(args.out / "pos_distribution.csv", ["group", "tag", "mean_count"], table)
 
-    if cfg.forum_json is not None:
-        dialogues = load_forum_json(cfg.forum_json)
+    if args.forum_json is not None:
+        dialogues = load_forum_json(args.forum_json)
         curve = vote_gt_curve(dialogues)
         _write_csv(
-            out / "vote_curve.csv",
+            args.out / "vote_curve.csv",
             ["bin_low", "proportion"],
             [[repr(low), repr(p)] for low, p in curve],
         )
     return 0
 
 
-def cmd_tag(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    if (cfg.train_path is None) == (cfg.corpus is None):
+def cmd_tag(args: argparse.Namespace) -> int:
+    if (args.train is None) == (args.corpus is None):
         raise ConfigError("tag needs exactly one of --train (fit a model) or --corpus (apply one)")
-    if cfg.train_path is not None:
-        corpus = load_tagged(cfg.train_path)
+    if args.train is not None:
+        corpus = load_tagged(args.train)
         if not corpus:
             raise ConfigError("--train: empty training corpus")
-        model = train(corpus, epochs=cfg.epochs, seed=cfg.seed)
-        save_model(model, out)
+        model = train(corpus, epochs=args.epochs, seed=args.seed)
+        save_model(model, args.out)
         return 0
-    if cfg.tagger_model is None:
+    if args.tagger_model is None:
         raise ConfigError("tag --corpus requires --tagger-model")
-    sets = _load_corpus(cfg)
-    write_tagged(list(_tag_texts(load_model(cfg.tagger_model), sets)), out)
+    corpus = _load_corpus(args)
+    model = load_model(args.tagger_model)
+    write_tagged([run_tagger(model, tokenize(text)) for text in _texts(corpus)], args.out)
     return 0
 
 
-def cmd_convert(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    if cfg.format not in ("usr", "forum"):
+def cmd_convert(args: argparse.Namespace) -> int:
+    if args.format not in ("usr", "forum"):
         raise ConfigError("--format must be 'usr' or 'forum'")
-    if cfg.input is None:
+    if args.input is None:
         raise ConfigError("--input is required")
-    if cfg.format == "usr":
-        sets = _subsample(cfg, build_usr_sets(load_usr_json(cfg.input)))
+    if args.format == "usr":
+        sets = _subsample(args, build_usr_sets(load_usr_json(args.input)))
     else:
-        sets = build_forum_sets(load_forum_json(cfg.input), cfg.sample, cfg.seed)
+        sets = build_forum_sets(load_forum_json(args.input), args.sample, args.seed)
     if not sets:
-        raise ConfigError(f"{cfg.input}: no evaluation sets")
-    write_jsonl(sets, out)
+        raise ConfigError(f"{args.input}: no evaluation sets")
+    write_jsonl(sets, args.out)
     return 0
 
 
-COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "score": cmd_score,
     "evaluate": cmd_evaluate,
     "analyze": cmd_analyze,
@@ -518,83 +436,109 @@ COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and config-file merging
+# argument parsing; a config file only supplies the command's defaults
+
+#: Every flag by its long name. A config key is that name.
+_FLAGS: dict[str, dict] = {
+    "corpus": {"type": _input_path, "help": "canonical JSONL corpus"},
+    "embeddings": {"type": _input_path, "help": "fastText-style .vec or .vec.gz file"},
+    "tags": {"type": _input_path, "help": "pre-tagged file, 3 sentences per set"},
+    "tagger-model": {"type": _input_path, "help": "trained tagger model file"},
+    "tagset": {
+        "type": _parse_tagset, "default": DEFAULT_TAGSET_NAME,
+        "help": "'+'-separated tags, e.g. adj+verb+noun (default %(default)s)",
+    },
+    "synonyms": {"type": _input_path, "help": "lemma<TAB>synonym lexicon for METEOR"},
+    "count-punct": {
+        "type": _on_off, "default": True, "metavar": "{on,off}",
+        "help": "count punctuation tokens in POS-fraction denominators (default on)",
+    },
+    "aux-as-verb": {
+        "type": _on_off, "default": True, "metavar": "{on,off}",
+        "help": "collapse AUX tags into VERB (default on)",
+    },
+    "metrics": {
+        "type": _list, "default": DEFAULT_METRICS,
+        "help": "comma-separated metric ids (default %(default)s)",
+    },
+    "external-scores": {"type": _input_path, "help": "set_id,slot,score CSV"},
+    "duplicate-bad": {
+        "action": "store_true",
+        "help": "double the bad candidate's text before scoring (length-bias probe)",
+    },
+    "baseline": {"help": "baseline metric id for significance tests"},
+    "bonferroni": {"action": "store_true", "help": "add a Bonferroni-corrected p-value column"},
+    "groups": {
+        "type": _groups, "default": DEFAULT_GROUPS,
+        "help": "comma-separated groups (default %(default)s)",
+    },
+    "forum-json": {"type": _input_path, "help": "forum JSON for the vote curve"},
+    "train": {"type": _input_path, "help": "tagged training file"},
+    "epochs": {"type": int, "default": 5, "help": "training epochs (default %(default)s)"},
+    "format": {"choices": ["usr", "forum"], "help": "input format"},
+    "input": {"type": _input_path, "help": "source JSON file"},
+    "sample": {"type": int, "help": "deterministic subsample size"},
+    "seed": {"type": int, "default": 0, "help": "seed for all sampling (default %(default)s)"},
+    "out": {"type": Path, "help": "output path"},
+    "config": {"type": _input_path, "help": "key=value config file; flags override it"},
+}
+
+_SCORING_FLAGS = (
+    "corpus", "embeddings", "tags", "tagger-model", "tagset", "synonyms", "count-punct",
+    "aux-as-verb", "metrics", "external-scores", "duplicate-bad", "sample", "seed", "out",
+    "config",
+)
+
+#: (help, flags) of each command: only the flags the command reads.
+_COMMAND_FLAGS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "score": ("per-candidate metric scores", _SCORING_FLAGS),
+    "evaluate": ("predictive power report", _SCORING_FLAGS + ("baseline", "bonferroni")),
+    "analyze": (
+        "POS distribution and vote curve",
+        ("corpus", "tags", "tagger-model", "tagset", "aux-as-verb", "groups", "forum-json",
+         "sample", "seed", "out", "config"),
+    ),
+    "correlate": ("metric-vs-metric Kendall tau matrix", _SCORING_FLAGS),
+    "tag": (
+        "train a tagger or tag a corpus",
+        ("train", "epochs", "corpus", "tagger-model", "seed", "out", "config"),
+    ),
+    "convert": (
+        "convert USR/forum JSON to canonical JSONL",
+        ("format", "input", "sample", "seed", "out", "config"),
+    ),
+}
 
 
-def _add_common(sub: argparse.ArgumentParser, *, metrics: bool) -> None:
-    sub.add_argument("--corpus", help="canonical JSONL corpus")
-    sub.add_argument("--embeddings", help="fastText-style .vec or .vec.gz file")
-    sub.add_argument("--tags", help="pre-tagged file, 3 sentences per set")
-    sub.add_argument("--tagger-model", dest="tagger_model", help="trained tagger model file")
-    sub.add_argument("--tagset", help="'+'-separated tags, e.g. adj+verb+noun")
-    sub.add_argument("--synonyms", help="lemma<TAB>synonym lexicon for METEOR")
-    sub.add_argument(
-        "--count-punct", dest="count_punct", choices=["on", "off"],
-        help="count punctuation tokens in POS-fraction denominators (default on)",
-    )
-    sub.add_argument(
-        "--aux-as-verb", dest="aux_as_verb", choices=["on", "off"],
-        help="collapse AUX tags into VERB (default on)",
-    )
-    if metrics:
-        sub.add_argument("--metrics", help=f"comma-separated metric ids (default {DEFAULT_METRICS})")
-        sub.add_argument("--external-scores", dest="external_scores", help="set_id,slot,score CSV")
-        sub.add_argument(
-            "--duplicate-bad", dest="duplicate_bad", action="store_const", const=True,
-            help="double the bad candidate's text before scoring (length-bias probe)",
-        )
-    sub.add_argument("--sample", type=int, help="deterministic subsample size")
-    sub.add_argument("--seed", type=int, help="seed for all sampling (default 0)")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--config", help="key=value config file; flags override it")
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError instead of exiting, so that `main` returns 2 for a
+    bad flag and for a bad config value alike.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the subparser of each command."""
+    parser = _Parser(
         prog="posscore",
         description="POS-aware evaluation metrics and meta-evaluation for "
         "conversational search responses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_score = sub.add_parser("score", help="per-candidate metric scores")
-    _add_common(p_score, metrics=True)
-
-    p_eval = sub.add_parser("evaluate", help="predictive power report")
-    _add_common(p_eval, metrics=True)
-    p_eval.add_argument("--baseline", help="baseline metric id for significance tests")
-    p_eval.add_argument(
-        "--bonferroni", action="store_const", const=True,
-        help="add a Bonferroni-corrected p-value column",
-    )
-
-    p_analyze = sub.add_parser("analyze", help="POS distribution and vote curve")
-    _add_common(p_analyze, metrics=False)
-    p_analyze.add_argument("--groups", help=f"comma-separated groups (default {DEFAULT_GROUPS})")
-    p_analyze.add_argument("--forum-json", dest="forum_json", help="forum JSON for the vote curve")
-
-    p_corr = sub.add_parser("correlate", help="metric-vs-metric Kendall tau matrix")
-    _add_common(p_corr, metrics=True)
-
-    p_tag = sub.add_parser("tag", help="train a tagger or tag a corpus")
-    _add_common(p_tag, metrics=False)
-    p_tag.add_argument("--train", dest="train_path", help="tagged training file")
-    p_tag.add_argument("--epochs", type=int, help="training epochs (default 5)")
-
-    p_conv = sub.add_parser("convert", help="convert USR/forum JSON to canonical JSONL")
-    _add_common(p_conv, metrics=False)
-    p_conv.add_argument("--format", choices=["usr", "forum"], help="input format")
-    p_conv.add_argument("--input", help="source JSON file")
-
-    return parser
-
-
-_CONFIG_INT_KEYS = {"sample", "seed", "epochs"}
-_CONFIG_FLAG_KEYS = {"duplicate_bad", "bonferroni"}
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in flags:
+            p.add_argument(f"--{name}", **_FLAGS[name])
+    sub.choices["analyze"].set_defaults(tagset=ANALYZE_TAGSET_NAME)
+    return parser, sub.choices
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Parse a flat key=value manifest; '#' starts a comment line."""
+    """Parse a flat key=value manifest; '#' starts a comment line. Keys are
+    long flag names; underscores read as dashes.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -604,79 +548,46 @@ def load_config_file(path: Path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("_", "-")] = value.strip()
     return values
 
 
-def make_config(args: argparse.Namespace) -> RunConfig:
-    raw = vars(args).copy()
-    command = raw.pop("command")
-    config_path = raw.pop("config", None)
-    if config_path is not None:
-        file_values = load_config_file(
-            _resolve_resource(config_path, "--config")
-        )
-        for key, value in file_values.items():
-            if key not in raw:
-                raise ConfigError(f"--config: unknown key {key!r}")
-            if raw[key] is not None:
-                continue  # explicit flag wins
-            if key in _CONFIG_INT_KEYS:
-                try:
-                    raw[key] = int(value)
-                except ValueError:
-                    raise ConfigError(f"--config: {key} must be an integer") from None
-            elif key in _CONFIG_FLAG_KEYS:
-                raw[key] = _parse_bool(value, f"--config {key}", False)
-            else:
-                raw[key] = value
-
-    cfg = RunConfig(command=command)
-    cfg.corpus = _resolve_resource(raw.get("corpus"), "--corpus")
-    cfg.embeddings = _resolve_resource(raw.get("embeddings"), "--embeddings")
-    cfg.tags = _resolve_resource(raw.get("tags"), "--tags")
-    cfg.tagger_model = _resolve_resource(raw.get("tagger_model"), "--tagger-model")
-    cfg.synonyms = _resolve_resource(raw.get("synonyms"), "--synonyms")
-    cfg.external_scores = _resolve_resource(raw.get("external_scores"), "--external-scores")
-    cfg.forum_json = _resolve_resource(raw.get("forum_json"), "--forum-json")
-    cfg.train_path = _resolve_resource(raw.get("train_path"), "--train")
-    cfg.input = _resolve_resource(raw.get("input"), "--input")
-    if raw.get("tagset") is not None:
-        cfg.tagset = _parse_tagset(raw["tagset"])
-    if raw.get("metrics") is not None:
-        cfg.metrics = [m.strip() for m in raw["metrics"].split(",") if m.strip()]
-        if not cfg.metrics:
-            raise ConfigError("--metrics: empty metric list")
-    if raw.get("groups") is not None:
-        cfg.groups = [g.strip() for g in raw["groups"].split(",") if g.strip()]
-    cfg.baseline = raw.get("baseline")
-    cfg.count_punct = _parse_bool(raw.get("count_punct"), "--count-punct", True)
-    cfg.aux_as_verb = _parse_bool(raw.get("aux_as_verb"), "--aux-as-verb", True)
-    cfg.duplicate_bad = bool(raw.get("duplicate_bad") or False)
-    cfg.bonferroni = bool(raw.get("bonferroni") or False)
-    cfg.sample = raw.get("sample")
-    if cfg.sample is not None and cfg.sample < 1:
-        raise ConfigError("--sample must be >= 1")
-    cfg.seed = raw.get("seed") if raw.get("seed") is not None else 0
-    cfg.epochs = raw.get("epochs") if raw.get("epochs") is not None else 5
-    if cfg.epochs < 1:
-        raise ConfigError("--epochs must be >= 1")
-    cfg.format = raw.get("format")
-    if raw.get("out") is not None:
-        cfg.out = Path(raw["out"])
-    return cfg
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse the flags. With --config, the file's values become the command's
+    defaults and the flags are parsed again, so that flags win and each
+    value goes through its flag's converter.
+    """
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    flags = _COMMAND_FLAGS[args.command][1]
+    defaults = {}
+    for key, value in load_config_file(args.config).items():
+        if key not in flags or key == "config":
+            raise ConfigError(f"--config: unknown key {key!r}")
+        if _FLAGS[key].get("action") == "store_true":
+            # argparse converts string defaults through `type` only; an
+            # on/off flag has none, and "off" would stay a true value
+            try:
+                value = _on_off(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"--config {args.config}: {key}: {exc}") from None
+        defaults[key.replace("-", "_")] = value
+    commands[args.command].set_defaults(**defaults)
+    try:
+        return parser.parse_args(argv)
+    except ConfigError as exc:
+        raise ConfigError(f"--config {args.config}: {exc}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = make_config(args)
-        return COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        args = parse_args(argv)
+        if args.out is None:
+            raise ConfigError("--out is required")
+        return COMMANDS[args.command](args)
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

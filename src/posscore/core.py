@@ -209,6 +209,11 @@ class EvaluationSet:
         """Slot letter of the higher-human-score candidate."""
         return "a" if self.human_a > self.human_b else "b"
 
+    @property
+    def bad_slot(self) -> str:
+        """Slot letter of the lower-human-score candidate."""
+        return "b" if self.human_a > self.human_b else "a"
+
     def candidate(self, slot: str) -> str:
         if slot == "a":
             return self.candidate_a

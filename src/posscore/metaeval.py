@@ -267,8 +267,6 @@ def duplicate_bad(corpus: Sequence[EvaluationSet]) -> list[EvaluationSet]:
     """
     out = []
     for ev in corpus:
-        if ev.good_slot == "a":
-            out.append(replace(ev, candidate_b=f"{ev.candidate_b} {ev.candidate_b}"))
-        else:
-            out.append(replace(ev, candidate_a=f"{ev.candidate_a} {ev.candidate_a}"))
+        text = ev.candidate(ev.bad_slot)
+        out.append(replace(ev, **{f"candidate_{ev.bad_slot}": f"{text} {text}"}))
     return out

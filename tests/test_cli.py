@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +355,19 @@ class TestAnalyze:
         assert rc == 2
         assert "ugly" in capsys.readouterr().err
 
+    def test_empty_groups(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "analysis"
+        rc = run(
+            "analyze",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--groups", ",",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert "--groups" in capsys.readouterr().err
+        assert not (out / "pos_distribution.csv").exists()
+
     def test_requires_tag_source(self, cli_workspace, tmp_path, capsys):
         rc = run(
             "analyze",
@@ -567,6 +582,118 @@ class TestConfigFile:
         rc = run("score", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_train_key(self, cli_workspace, tmp_path):
+        # a config key is the long flag name, also for --train
+        cfgfile = tmp_path / "train.cfg"
+        cfgfile.write_text(f"train={cli_workspace / 'tags.tsv'}\nepochs=2\n")
+        by_key, by_flag = tmp_path / "key.model", tmp_path / "flag.model"
+        assert run("tag", "--config", str(cfgfile), "--out", str(by_key)) == 0
+        rc = run(
+            "tag", "--train", str(cli_workspace / "tags.tsv"), "--epochs", "2",
+            "--out", str(by_flag),
+        )
+        assert rc == 0
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+    def scores_with(self, ws, tmp_path, name, config_lines, flags):
+        """Bytes of one tagged `score` run, its corpus given in a config file."""
+        cfgfile = tmp_path / f"{name}.cfg"
+        lines = [f"corpus={ws / 'corpus.jsonl'}", *config_lines]
+        cfgfile.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / f"{name}.csv"
+        rc = run(
+            "score", "--config", str(cfgfile),
+            "--tags", str(ws / "tags.tsv"),
+            "--embeddings", str(ws / "vectors.vec"),
+            "--metrics", "posscore,bleu4,ptlc:bleu1",
+            *flags, "--out", str(out),
+        )
+        assert rc == 0
+        return out.read_bytes()
+
+    def test_on_off_keys_match_flags(self, cli_workspace, tmp_path):
+        ws = cli_workspace
+        plain = self.scores_with(ws, tmp_path, "plain", [], [])
+        probed = self.scores_with(ws, tmp_path, "probed", [], ["--duplicate-bad"])
+        assert probed != plain
+        assert self.scores_with(ws, tmp_path, "off", ["duplicate-bad=off"], []) == plain
+        assert self.scores_with(ws, tmp_path, "on", ["duplicate-bad=on"], []) == probed
+
+    def test_flags_and_keys_share_on_off_words(self, cli_workspace, tmp_path):
+        ws = cli_workspace
+        by_key = self.scores_with(ws, tmp_path, "key", ["count-punct=no"], [])
+        by_flag = self.scores_with(ws, tmp_path, "flag", [], ["--count-punct", "no"])
+        assert by_key == by_flag
+        assert by_key != self.scores_with(ws, tmp_path, "on", [], ["--count-punct", "yes"])
+
+    @pytest.mark.parametrize("line", ["sample=abc", "count-punct=maybe", "duplicate-bad=maybe"])
+    def test_bad_value_exits_2(self, cli_workspace, tmp_path, capsys, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"corpus={cli_workspace / 'corpus.jsonl'}\n{line}\n")
+        rc = run("score", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
+        assert rc == 2
+        assert line.partition("=")[0] in capsys.readouterr().err
+
+
+class TestCommandFlags:
+    # input paths must exist, so that only the dropped flag can fail the parse
+    @pytest.mark.parametrize("argv, flag", [
+        (["convert", "--format", "usr", "--input", "{ws}/usr.json",
+          "--embeddings", "{ws}/vectors.vec"], "--embeddings"),
+        (["tag", "--corpus", "{ws}/corpus.jsonl", "--tagger-model", "{ws}/tags.tsv",
+          "--sample", "1"], "--sample"),
+        (["analyze", "--corpus", "{ws}/corpus.jsonl", "--tags", "{ws}/tags.tsv",
+          "--count-punct", "off"], "--count-punct"),
+    ])
+    def test_unread_flag_exits_2(self, cli_workspace, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        rc = run(*[a.format(ws=cli_workspace) for a in argv], "--out", str(out))
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_lists_each_commands_flags(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Commands", 1)[1].split("\n## ", 1)[0]
+        # one bullet per command; its flag list may wrap onto indented lines
+        documented = {
+            m.group(1): set(re.findall(r"`(--[a-z-]+)", m.group(2)))
+            for m in re.finditer(r"^- `(\w+)`:(.*(?:\n  .*)*)", section, re.MULTILINE)
+        }
+        assert set(documented) == {"score", "evaluate", "correlate", "analyze", "tag", "convert"}
+        for command, flags in documented.items():
+            with pytest.raises(SystemExit):
+                run(command, "--help")
+            help_text = capsys.readouterr().out
+            offered = set(re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", help_text, re.MULTILINE))
+            assert offered - {"--help"} == flags, command
+
+
+class TestTokenizeOnce:
+    @pytest.mark.parametrize("probe", [[], ["--duplicate-bad"]])
+    def test_untagged_responses_tokenized_once(self, cli_workspace, tmp_path, monkeypatch, probe):
+        import posscore.cli as cli
+
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(cli, "tokenize", counting_tokenize)
+        corpus = tmp_path / "one.jsonl"
+        write_mini_corpus(corpus, n=1)
+        rc = run(
+            "score",
+            "--corpus", str(corpus),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", "ea",
+            *probe,
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 0
+        assert len(calls) == 3
 
 
 class TestDataDirFallback:

@@ -163,3 +163,12 @@ class TestEvaluationSet:
         assert ev.human("b") == 4.0
         with pytest.raises(ValueError):
             ev.candidate("c")
+
+    def test_bad_slot(self):
+        for human_a, human_b, bad in ((2.0, 4.0, "a"), (4.0, 2.0, "b")):
+            ev = EvaluationSet(
+                id="x", context=(), reference="r",
+                candidate_a="a", candidate_b="b", human_a=human_a, human_b=human_b,
+            )
+            assert ev.bad_slot == bad
+            assert {ev.good_slot, ev.bad_slot} == {"a", "b"}
