@@ -127,8 +127,6 @@ def _groups(value: str) -> list[str]:
 
 def parse_metric_spec(spec: str, default_tagset: TagSet) -> Metric:
     spec = spec.strip()
-    if not spec:
-        raise ConfigError("--metrics: empty metric id")
     if spec in BASE_METRIC_IDS:
         return Metric(spec)
     parts = spec.split(":")
@@ -194,28 +192,31 @@ def _has_tag_source(args: argparse.Namespace) -> bool:
 def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
     """One row per sampled set, each response tagged or tokenized once.
 
-    A tags file carries three sentences per evaluation set in corpus order:
-    reference, candidate a, candidate b. Its tokenization is authoritative
-    for all metrics in the run.
+    A tags file carries three sentences per evaluation set of the whole
+    corpus, in corpus order: reference, candidate a, candidate b. Its
+    tokenization is authoritative for all metrics in the run.
     """
+    # the sample depends on positions and the seed only: draw it first, and
+    # tag or tokenize only the picked sets
+    picked = _subsample(args, range(len(corpus)))
+    sampled = [corpus[i] for i in picked]
     if args.tags is not None:
-        sentences = load_tagged(args.tags)
-        if len(sentences) != 3 * len(corpus):
+        tagged = load_tagged(args.tags)
+        if len(tagged) != 3 * len(corpus):
             raise ConfigError(
                 f"--tags: expected {3 * len(corpus)} sentences "
-                f"(3 per evaluation set), found {len(sentences)}"
+                f"(3 per evaluation set), found {len(tagged)}"
             )
+        sentences = (tagged[3 * i + k] for i in picked for k in range(3))
     elif args.tagger_model is not None:
         model = load_model(args.tagger_model)
-        sentences = (run_tagger(model, tokenize(text)) for text in _texts(corpus))
+        sentences = (run_tagger(model, tokenize(text)) for text in _texts(sampled))
     else:
-        sentences = map(tokenize, _texts(corpus))
+        sentences = map(tokenize, _texts(sampled))
     if _has_tag_source(args) and args.aux_as_verb:
         sentences = map(remap_aux_to_verb, sentences)
-    # tags are aligned by position against the full corpus, so align first
-    # and sample after; the sample picks by position and seed only
     it = iter(sentences)
-    return _subsample(args, zip(corpus, it, it, it))
+    return list(zip(sampled, it, it, it))
 
 
 def _duplicate_bad(row: Row) -> Row:
@@ -416,9 +417,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.input is None:
         raise ConfigError("--input is required")
     if args.format == "usr":
-        sets = _subsample(args, build_usr_sets(load_usr_json(args.input)))
+        sets = build_usr_sets(load_usr_json(args.input))
     else:
-        sets = build_forum_sets(load_forum_json(args.input), args.sample, args.seed)
+        sets = build_forum_sets(load_forum_json(args.input))
+    sets = _subsample(args, sets)
     if not sets:
         raise ConfigError(f"{args.input}: no evaluation sets")
     write_jsonl(sets, args.out)

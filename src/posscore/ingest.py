@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import EvaluationSet
 
@@ -54,20 +56,49 @@ class ForumAnswer:
             raise ValueError("normalized_vote must lie in [0, 1]")
 
 
-def _require(obj: dict, key: str, where: str):
+def _field(obj, key: str, where: str):
+    """obj[key], where obj must be a JSON object holding key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
     if key not in obj:
         raise ValueError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
-def _as_context(value) -> tuple[str, ...]:
+def _score(value, where: str) -> float:
+    """A finite float, parsed as float() parses it (numeric strings and bools
+    included); a NaN or infinite score would order its pair silently wrong.
+    """
+    try:
+        score = float(value)
+    except (TypeError, ValueError, OverflowError):
+        score = math.nan
+    if not math.isfinite(score):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
+    return score
+
+
+def _json_items(path: Path) -> Iterator[tuple[str, object]]:
+    """Each item of the top-level JSON array in path, with its location."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a top-level JSON array")
+    for k, item in enumerate(data):
+        yield f"{path}: item {k}", item
+
+
+def _as_context(value, where: str) -> tuple[str, ...]:
     if value is None:
         return ()
     if isinstance(value, str):
         return (value,)
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return tuple(value)
-    raise ValueError("context must be a string or a list of strings")
+    raise ValueError(f"{where}: 'context' must be a string or a list of strings")
 
 
 def load_jsonl(path: str | Path) -> list[EvaluationSet]:
@@ -90,25 +121,23 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: expected a JSON object")
-            set_id = str(_require(obj, "id", where))
+            set_id = str(_field(obj, "id", where))
             if set_id in first_line:
                 raise ValueError(
                     f"{where}: duplicate set id {set_id!r} (first on line {first_line[set_id]})"
                 )
             first_line[set_id] = lineno
-            context = _as_context(obj.get("context"))
-            reference = _require(obj, "reference", where)
-            candidates = _require(obj, "candidates", where)
+            context = _as_context(obj.get("context"), where)
+            reference = _field(obj, "reference", where)
+            candidates = _field(obj, "candidates", where)
             if not isinstance(candidates, list) or len(candidates) != 2:
                 raise ValueError(f"{where}: 'candidates' must list exactly 2 entries")
             texts = []
             humans = []
             for k, cand in enumerate(candidates):
                 cwhere = f"{where}: candidates[{k}]"
-                texts.append(str(_require(cand, "text", cwhere)))
-                humans.append(float(_require(cand, "human", cwhere)))
+                texts.append(str(_field(cand, "text", cwhere)))
+                humans.append(_score(_field(cand, "human", cwhere), f"{cwhere}: human"))
             if humans[0] == humans[1]:
                 skipped_ties += 1
                 continue
@@ -146,6 +175,25 @@ def write_jsonl(sets: Sequence[EvaluationSet], path: str | Path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
+def _pair_sets(
+    prefix: str,
+    context: tuple[str, ...],
+    reference: str,
+    scored: Sequence[tuple[int, str, float]],
+) -> list[EvaluationSet]:
+    """One set `<prefix>-<i>-<j>` per pair of (position, text, score)
+    responses with distinct scores, the higher-scored one in slot a.
+    """
+    sets = []
+    for first, second in combinations(scored, 2):
+        if first[2] == second[2]:
+            continue
+        good, bad = (first, second) if first[2] > second[2] else (second, first)
+        set_id = f"{prefix}-{first[0]}-{second[0]}"
+        sets.append(EvaluationSet(set_id, context, reference, good[1], bad[1], good[2], bad[2]))
+    return sets
+
+
 def build_usr_sets(
     contexts: Sequence[tuple[tuple[str, ...], str, Sequence[AnnotatedResponse]]],
 ) -> list[EvaluationSet]:
@@ -159,31 +207,11 @@ def build_usr_sets(
     sets: list[EvaluationSet] = []
     skipped_contexts = 0
     for ci, (context, reference, responses) in enumerate(contexts):
-        scored = [(k, r) for k, r in enumerate(responses) if not r.is_reference]
+        scored = [(k, r.text, r.final_score) for k, r in enumerate(responses) if not r.is_reference]
         if len(scored) < 2:
             skipped_contexts += 1
             continue
-        for x in range(len(scored)):
-            for y in range(x + 1, len(scored)):
-                i, first = scored[x]
-                j, second = scored[y]
-                if first.final_score == second.final_score:
-                    continue
-                if first.final_score > second.final_score:
-                    good, bad = first, second
-                else:
-                    good, bad = second, first
-                sets.append(
-                    EvaluationSet(
-                        id=f"usr-{ci}-{i}-{j}",
-                        context=context,
-                        reference=reference,
-                        candidate_a=good.text,
-                        candidate_b=bad.text,
-                        human_a=good.final_score,
-                        human_b=bad.final_score,
-                    )
-                )
+        sets += _pair_sets(f"usr-{ci}", context, reference, scored)
     if skipped_contexts:
         log.warning("skipped %d context(s) with < 2 scoreable responses", skipped_contexts)
     return sets
@@ -218,8 +246,6 @@ def normalize_votes(answers: Sequence[ForumAnswer]) -> list[ForumAnswer]:
 
 def build_forum_sets(
     dialogues: Sequence[tuple[str, Sequence[ForumAnswer]]],
-    sample: int | None = None,
-    seed: int = 0,
 ) -> list[EvaluationSet]:
     """Build evaluation sets from vote-annotated forum dialogues.
 
@@ -227,46 +253,22 @@ def build_forum_sets(
     are held out of the candidate pool. Candidate pairs need distinct vote
     counts; the higher-voted answer goes in slot a with raw votes as the
     human scores. Dialogues without a reference or without two distinct-vote
-    candidates are skipped (counted). With `sample` set, a deterministic
-    reservoir sample of that many sets is drawn under `seed`.
+    candidates are skipped (counted).
     """
     sets: list[EvaluationSet] = []
     skipped = 0
     for di, (question, answers) in enumerate(dialogues):
         reference = next((a for a in answers if a.is_answer), None)
-        candidates = [(k, a) for k, a in enumerate(answers) if not a.is_answer]
-        if reference is None or len(candidates) < 2:
+        scored = [(k, a.text, float(a.votes)) for k, a in enumerate(answers) if not a.is_answer]
+        pairs = []
+        if reference is not None:
+            context = (question,) if question else ()
+            pairs = _pair_sets(f"forum-{di}", context, reference.text, scored)
+        if not pairs:
             skipped += 1
-            continue
-        emitted = 0
-        for x in range(len(candidates)):
-            for y in range(x + 1, len(candidates)):
-                i, first = candidates[x]
-                j, second = candidates[y]
-                if first.votes == second.votes:
-                    continue
-                if first.votes > second.votes:
-                    good, bad = first, second
-                else:
-                    good, bad = second, first
-                sets.append(
-                    EvaluationSet(
-                        id=f"forum-{di}-{i}-{j}",
-                        context=(question,) if question else (),
-                        reference=reference.text,
-                        candidate_a=good.text,
-                        candidate_b=bad.text,
-                        human_a=float(good.votes),
-                        human_b=float(bad.votes),
-                    )
-                )
-                emitted += 1
-        if emitted == 0:
-            skipped += 1
+        sets += pairs
     if skipped:
         log.warning("skipped %d dialogue(s) unusable for pairing", skipped)
-    if sample is not None and sample < len(sets):
-        sets = reservoir_sample(sets, sample, seed)
     return sets
 
 
@@ -301,32 +303,26 @@ def load_usr_json(
     top-level `reference` string or as the single response flagged
     `is_reference` (which is then excluded from pairing).
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a top-level JSON array")
     out = []
-    for ci, obj in enumerate(data):
-        where = f"{path}: item {ci}"
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected an object")
-        context = _as_context(obj.get("context"))
-        raw_responses = _require(obj, "responses", where)
+    for where, obj in _json_items(Path(path)):
+        raw_responses = _field(obj, "responses", where)
         if not isinstance(raw_responses, list):
             raise ValueError(f"{where}: 'responses' must be a list")
+        context = _as_context(obj.get("context"), where)
         responses = []
         for k, r in enumerate(raw_responses):
             rwhere = f"{where}: responses[{k}]"
-            text = str(_require(r, "text", rwhere))
+            text = str(_field(r, "text", rwhere))
             is_ref = bool(r.get("is_reference", False))
             quality = r.get("quality", [])
-            if not isinstance(quality, list):
-                raise ValueError(f"{rwhere}: 'quality' must be a list of numbers")
+            if not isinstance(quality, list) or not (quality or is_ref):
+                raise ValueError(f"{rwhere}: 'quality' must list one score per annotator")
             responses.append(
                 AnnotatedResponse(
                     text=text,
-                    quality_scores=tuple(float(q) for q in quality),
+                    quality_scores=tuple(
+                        _score(q, f"{rwhere}: quality[{i}]") for i, q in enumerate(quality)
+                    ),
                     is_reference=is_ref,
                 )
             )
@@ -353,27 +349,21 @@ def load_forum_json(
     `text`, integer `votes`, and boolean `is_answer`. Normalized votes are
     filled per dialogue.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a top-level JSON array")
     out = []
-    for di, obj in enumerate(data):
-        where = f"{path}: item {di}"
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected an object")
-        question = str(obj.get("question", ""))
-        raw_answers = _require(obj, "answers", where)
+    for where, obj in _json_items(Path(path)):
+        raw_answers = _field(obj, "answers", where)
         if not isinstance(raw_answers, list):
             raise ValueError(f"{where}: 'answers' must be a list")
+        question = str(obj.get("question", ""))
         answers = []
         for k, a in enumerate(raw_answers):
             awhere = f"{where}: answers[{k}]"
-            text = str(_require(a, "text", awhere))
-            votes = _require(a, "votes", awhere)
+            text = str(_field(a, "text", awhere))
+            votes = _field(a, "votes", awhere)
             if not isinstance(votes, int) or isinstance(votes, bool) or votes < 0:
                 raise ValueError(f"{awhere}: 'votes' must be a non-negative integer")
+            # the votes become float human scores, so they must fit a float
+            _score(votes, f"{awhere}: votes")
             answers.append(ForumAnswer(text, votes, bool(a.get("is_answer", False))))
         out.append((question, normalize_votes(answers)))
     return out

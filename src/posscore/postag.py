@@ -55,13 +55,15 @@ class TaggerModel:
     tag_prior: Mapping[str, PosTag]
     iterations_trained: int
 
-    def predict(self, feats: Sequence[str]) -> PosTag:
-        scores: defaultdict[PosTag, float] = defaultdict(float)
-        for f in feats:
-            for t, w in self.feature_weights.get(f, {}).items():
-                scores[t] += w
-        # ties broken by the fixed tag-alphabet order
-        return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
+
+def _predict(weights: Mapping[str, Mapping[PosTag, float]], feats: Sequence[str]) -> PosTag:
+    """The tag with the highest summed weight over feats."""
+    scores: defaultdict[PosTag, float] = defaultdict(float)
+    for f in feats:
+        for t, w in weights.get(f, {}).items():
+            scores[t] += w
+    # ties broken by the fixed tag-alphabet order
+    return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
 
 
 def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
@@ -75,7 +77,7 @@ def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
         if prior is not None:
             chosen = prior
         else:
-            chosen = model.predict(_features(norms, surfaces, i, prev_tag))
+            chosen = _predict(model.feature_weights, _features(norms, surfaces, i, prev_tag))
         out.append((token, chosen))
         prev_tag = chosen.value
     return TaggedSentence(tuple(out))
@@ -89,13 +91,6 @@ class _AveragedWeights:
         self._totals: defaultdict[tuple[str, PosTag], float] = defaultdict(float)
         self._stamps: defaultdict[tuple[str, PosTag], int] = defaultdict(int)
         self.instances = 0
-
-    def score(self, feats: Sequence[str]) -> PosTag:
-        scores: defaultdict[PosTag, float] = defaultdict(float)
-        for f in feats:
-            for t, w in self.weights[f].items():
-                scores[t] += w
-        return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
 
     def update(self, truth: PosTag, guess: PosTag, feats: Sequence[str]) -> None:
         self.instances += 1
@@ -166,7 +161,7 @@ def train(
                     prev_tag = fixed.value
                     continue
                 feats = _features(norms, surfaces, i, prev_tag)
-                guess = weights.score(feats)
+                guess = _predict(weights.weights, feats)
                 weights.update(truth, guess, feats)
                 prev_tag = guess.value
     return TaggerModel(
@@ -253,7 +248,13 @@ def load_tagged(path: str | Path) -> list[TaggedSentence]:
 
 
 def write_tagged(sentences: Iterable[TaggedSentence], path: str | Path) -> None:
-    """Inverse of load_tagged: 1-based index, surface, tag; blank-line breaks."""
+    """Inverse of load_tagged: 1-based index, surface, tag; blank-line breaks.
+    An empty sentence, which the format cannot hold, raises before the file is opened.
+    """
+    sentences = list(sentences)
+    for n, sent in enumerate(sentences, start=1):
+        if not sent:
+            raise ValueError(f"{path}: sentence {n} is empty, which the tagged format cannot hold")
     with open(path, "w", encoding="utf-8") as fh:
         first = True
         for sent in sentences:

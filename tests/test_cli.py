@@ -37,6 +37,14 @@ def write_mini_corpus(path, n=2):
             fh.write(json.dumps(row) + "\n")
 
 
+@pytest.fixture(scope="module")
+def tagger_model(cli_workspace, tmp_path_factory):
+    model = tmp_path_factory.mktemp("tagger") / "model.tsv"
+    rc = run("tag", "--train", str(cli_workspace / "tags.tsv"), "--epochs", "2", "--out", str(model))
+    assert rc == 0
+    return model
+
+
 class TestScore:
     def test_row_cardinality(self, cli_workspace, tmp_path):
         corpus = tmp_path / "mini.jsonl"
@@ -457,6 +465,22 @@ class TestTag:
         assert rc == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_empty_sentence_exits_2_without_writing(self, tagger_model, tmp_path, capsys):
+        # the tagged format cannot hold an empty sentence; writing one would
+        # give a file that --tags later rejects for its sentence count
+        corpus = tmp_path / "corpus.jsonl"
+        write_mini_corpus(corpus, n=2)
+        rows = corpus.read_text().splitlines()
+        last = json.loads(rows[1])
+        last["candidates"][1]["text"] = ""
+        corpus.write_text(rows[0] + "\n" + json.dumps(last) + "\n")
+        out = tmp_path / "tags.tsv"
+        rc = run("tag", "--corpus", str(corpus), "--tagger-model", str(tagger_model),
+                 "--out", str(out))
+        assert rc == 2
+        assert not out.exists()
+        assert f"{out}: sentence 6 is empty" in capsys.readouterr().err
+
     def test_apply_requires_model(self, cli_workspace, tmp_path, capsys):
         rc = run(
             "tag",
@@ -512,6 +536,23 @@ class TestConvert:
         assert run(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "fmt, data, place",
+        [
+            ("usr", [{"reference": "r", "responses": [{"text": "a", "quality": [None]}]}],
+             "item 0: responses[0]: quality[0]"),
+            ("forum", [{"question": "q", "answers": [["text"]]}], "item 0: answers[0]"),
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, fmt, data, place):
+        src = tmp_path / f"{fmt}.json"
+        src.write_text(json.dumps(data))
+        out = tmp_path / "out.jsonl"
+        rc = run("convert", "--format", fmt, "--input", str(src), "--out", str(out))
+        assert rc == 2
+        assert not out.exists()
+        assert f"error: {src}: {place}" in capsys.readouterr().err
 
     def test_missing_format(self, cli_workspace, tmp_path, capsys):
         rc = run(
@@ -760,6 +801,29 @@ class TestSample:
         for r in rows:
             assert full_scores[(r[0], r[1])] == r[4]
 
+    def test_tagger_runs_only_on_sampled_sets(self, cli_workspace, tagger_model, tmp_path,
+                                              monkeypatch):
+        import posscore.cli as cli
+        from posscore.postag import tag
+
+        calls = []
+
+        def counting_tagger(model, tokens):
+            calls.append(tokens)
+            return tag(model, tokens)
+
+        monkeypatch.setattr(cli, "run_tagger", counting_tagger)
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tagger-model", str(tagger_model),
+            "--metrics", "bleu1",
+            "--sample", "1",
+            "--out", str(tmp_path / "scores.csv"),
+        )
+        assert rc == 0
+        assert len(calls) == 3
+
 
 def write_padded_vec(src, dest, fillers=200):
     """Copy a .vec file, adding rows the corpus never looks up: filler words
@@ -852,6 +916,29 @@ class TestEmbeddingLoad:
         )
         assert rc == 2
         assert "--tags" in capsys.readouterr().err
+
+
+class TestBadCorpus:
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            [{"text": "A cat.", "human": float("nan")}, {"text": "It was.", "human": 2.0}],
+            # "text" in "text" holds, so a substring test would pass it on
+            ["text", "text"],
+        ],
+        ids=["human-nan", "candidates-strings"],
+    )
+    def test_exits_2_naming_file_and_line(self, tmp_path, capsys, candidates):
+        corpus = tmp_path / "bad.jsonl"
+        write_mini_corpus(corpus, n=1)
+        row = {"id": "m1", "reference": "The cat sat.", "candidates": candidates}
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
+        out = tmp_path / "report.csv"
+        rc = run("evaluate", "--corpus", str(corpus), "--metrics", "bleu1", "--out", str(out))
+        assert rc == 2
+        assert not out.exists()
+        assert f"error: {corpus}: line 2: candidates[0]" in capsys.readouterr().err
 
 
 class TestDuplicateSetIds:

@@ -99,6 +99,40 @@ class TestLoadJsonl:
         write_jsonl(sets, p)
         assert load_jsonl(p) == sets
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"candidates": ["text", "text"]}, "candidates[0]: expected a JSON object"),
+            ({"candidates": [{"text": "a", "human": [1]}, {"text": "b", "human": 2}]},
+             "candidates[0]: human: expected a finite number, got [1]"),
+            ({"candidates": [{"text": "a", "human": 1}, {"text": "b", "human": "x"}]},
+             "candidates[1]: human: expected a finite number, got 'x'"),
+            ({"candidates": [{"text": "a", "human": float("nan")}, {"text": "b", "human": 2}]},
+             "candidates[0]: human: expected a finite number, got nan"),
+            ({"candidates": [{"text": "a", "human": 1}, {"text": "b", "human": 10**400}]},
+             "candidates[1]: human: expected a finite number"),
+            ({"context": 5}, "'context' must be a string or a list of strings"),
+        ],
+        ids=["candidates-strings", "human-list", "human-word", "human-nan", "human-beyond-float",
+             "context-number"],
+    )
+    def test_bad_input_names_file_and_line_once(self, tmp_path, change, message):
+        p = tmp_path / "c.jsonl"
+        obj = {**json.loads(jsonl_line("s1", 5, 2)), **change}
+        p.write_text(jsonl_line("s0", 4, 1) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_jsonl(p)
+        assert str(info.value).startswith(f"{p}: line 2: {message}")
+        assert str(info.value).count(str(p)) == 1
+
+    def test_numeric_strings_and_bools_parse_as_float(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        obj = json.loads(jsonl_line("s1", 5, 2))
+        obj["candidates"] = [{"text": "a", "human": " 4.5 "}, {"text": "b", "human": True}]
+        p.write_text(json.dumps(obj) + "\n")
+        [ev] = load_jsonl(p)
+        assert (ev.human_a, ev.human_b) == (4.5, 1.0)
+
 
 def resp(text, *scores, is_reference=False):
     return AnnotatedResponse(text, tuple(float(s) for s in scores), is_reference)
@@ -237,15 +271,6 @@ class TestBuildForumSets:
         texts = {sets[0].candidate_a, sets[0].candidate_b}
         assert "second ref" not in texts
 
-    def test_sampling_deterministic(self):
-        answers = [ForumAnswer("ref", 0, True)] + [
-            ForumAnswer(f"a{i}", i, False) for i in range(1, 10)
-        ]
-        dialogues = [("q", answers)] * 5
-        a = build_forum_sets(dialogues, sample=30, seed=11)
-        b = build_forum_sets(dialogues, sample=30, seed=11)
-        assert a == b and len(a) == 30
-
     def test_ids_encode_positions(self):
         answers = [
             ForumAnswer("ref", 0, True),
@@ -276,6 +301,12 @@ class TestVoteGtCurve:
     def test_bin_edges(self):
         curve = vote_gt_curve([])
         assert [low for low, _ in curve] == [b / 10 for b in range(10)]
+
+
+def usr_file(second_item):
+    """A USR file whose second context object is `second_item` over a valid one."""
+    good = {"reference": "ref", "responses": [{"text": "r0", "quality": [3]}]}
+    return json.dumps([good, {**good, **second_item}])
 
 
 class TestLoadUsrJson:
@@ -326,6 +357,30 @@ class TestLoadUsrJson:
         with pytest.raises(ValueError, match="array"):
             load_usr_json(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (usr_file({"responses": [{"text": "r1", "quality": [None]}]}),
+             "item 1: responses[0]: quality[0]: expected a finite number, got None"),
+            (usr_file({"responses": [{"text": "r1", "quality": [3, float("nan")]}]}),
+             "item 1: responses[0]: quality[1]: expected a finite number, got nan"),
+            (usr_file({"responses": [{"text": "r1"}]}),
+             "item 1: responses[0]: 'quality' must list one score per annotator"),
+            (usr_file({"responses": [["text"]]}), "item 1: responses[0]: expected a JSON object"),
+            (usr_file({"context": 5}), "item 1: 'context' must be a string or a list of strings"),
+            ('[\n{"reference": "r",\n "responses": [}\n]', "line 3: malformed JSON"),
+        ],
+        ids=["quality-null", "quality-nan", "quality-missing", "response-not-object",
+             "context-number", "malformed-json"],
+    )
+    def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
+        p = tmp_path / "usr.json"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_usr_json(p)
+        assert str(info.value).startswith(f"{p}: {message}")
+        assert str(info.value).count(str(p)) == 1
+
 
 class TestLoadForumJson:
     def test_basic(self, tmp_path):
@@ -365,6 +420,26 @@ class TestLoadForumJson:
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="answers\\[0\\]"):
             load_forum_json(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"question": "q", "answers": [["text"]]}]',
+             "item 0: answers[0]: expected a JSON object"),
+            ('[{"answers": []}, {"answers": [{"text": "a", "votes": 1%s}]}]' % ("0" * 400),
+             "item 1: answers[0]: votes: expected a finite number"),
+            ('[{"question": "q",\n "answers": [{"text": "a" "votes": 1}]}]',
+             "line 2: malformed JSON"),
+        ],
+        ids=["answer-not-object", "votes-beyond-float", "malformed-json"],
+    )
+    def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
+        p = tmp_path / "forum.json"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_forum_json(p)
+        assert str(info.value).startswith(f"{p}: {message}")
+        assert str(info.value).count(str(p)) == 1
 
 
 class TestGlobalInvariants:
