@@ -4,16 +4,21 @@ Average, plus ingestion of precomputed external score files.
 BLEU uses an epsilon floor (1e-9) on zero precision counts instead of a
 smoothing schedule, so short responses never hard-zero. METEOR follows the
 alpha=0.9, beta=3, gamma=0.5 parameterization with a three-stage matcher
-(exact, Porter stem, optional synonym lexicon) and an exact minimum-chunk
-alignment for normal sentence lengths.
+(exact, Porter stem, optional synonym lexicon). Its alignment has the most
+matches and, among those, the fewest chunks. The details report
+exact_alignment = 1 when that chunk count is proven optimal, by a lower
+bound or by a finished search, at any sentence length; otherwise the best
+alignment found is scored and exact_alignment = 0.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +32,8 @@ METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
 
-# Exact alignment search limits; longer inputs fall back to a heuristic.
+# The min-chunk search runs only on sentences of at most _ALIGN_MAX_LEN
+# tokens and stops after _ALIGN_NODE_BUDGET nodes.
 _ALIGN_MAX_LEN = 48
 _ALIGN_NODE_BUDGET = 200_000
 
@@ -132,12 +138,21 @@ class SynonymLexicon:
         self._pairs: frozenset[tuple[str, str]] = frozenset(
             (a.casefold(), b.casefold()) for a, b in pairs
         )
+        related: dict[str, set[str]] = {}
+        for a, b in self._pairs:
+            related.setdefault(a, set()).add(b)
+            related.setdefault(b, set()).add(a)
+        self._related = {word: frozenset(words) for word, words in related.items()}
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def related(self, a: str, b: str) -> bool:
-        return (a, b) in self._pairs or (b, a) in self._pairs
+        return b in self.related_to(a)
+
+    def related_to(self, word: str) -> frozenset[str]:
+        """The words the lexicon relates to word, in either direction."""
+        return self._related.get(word, frozenset())
 
     @classmethod
     def load(cls, path: str | Path) -> "SynonymLexicon":
@@ -158,33 +173,54 @@ class SynonymLexicon:
 
 def _match_edges(
     cand: PreparedTokens, ref: PreparedTokens, synonyms: SynonymLexicon | None
-) -> list[list[int]]:
-    """adj[i] = reference positions j that candidate position i may align to.
+) -> list[Sequence[int]]:
+    """adj[i] = reference positions j that candidate position i may align to,
+    in ascending order. Rows are shared between equal stems; never mutate one.
 
-    An exact match is also a stem match, so the first two stages are one test.
+    An exact match is also a stem match, so the first two stages are one
+    lookup in a stem -> positions index of the reference. The synonym stage
+    adds the positions of the reference norms the lexicon relates to the
+    candidate norm.
     """
-    ref_words = list(zip(ref.norms, ref.stems))
-    adj: list[list[int]] = []
-    for cw, cs in zip(cand.norms, cand.stems):
-        row = [
-            j
-            for j, (rw, rs) in enumerate(ref_words)
-            if cs == rs or (synonyms is not None and synonyms.related(cw, rw))
-        ]
-        adj.append(row)
+    by_stem: dict[str, list[int]] = {}
+    for j, s in enumerate(ref.stems):
+        by_stem.setdefault(s, []).append(j)
+    if synonyms is None:
+        return [by_stem.get(s, ()) for s in cand.stems]
+    by_norm: dict[str, list[int]] = {}
+    for j, w in enumerate(ref.norms):
+        by_norm.setdefault(w, []).append(j)
+    adj: list[Sequence[int]] = []
+    for w, s in zip(cand.norms, cand.stems):
+        row = set(by_stem.get(s, ()))
+        for r in synonyms.related_to(w):
+            row.update(by_norm.get(r, ()))
+        adj.append(sorted(row))
     return adj
 
 
-def _max_matching(adj: list[list[int]], n_ref: int) -> list[int]:
+def _max_matching(
+    adj: Sequence[Sequence[int]], n_ref: int, start: Sequence[int] | None = None
+) -> list[int]:
     """Kuhn's augmenting-path maximum bipartite matching.
 
-    Returns match_of_ref (length n_ref, -1 = free). Deterministic. The
+    Returns match_of_ref (length n_ref, -1 = free). Starting from the
+    matching `start` (same form; empty by default), it searches one
+    augmenting path from each candidate still free; a matched candidate
+    stays matched, possibly to another position. Deterministic. The
     depth-first search runs on an explicit stack, trying each adj[i] in
     order, so long inputs cannot exhaust the interpreter's recursion limit.
     """
-    match_of_ref = [-1] * n_ref
+    match_of_ref = [-1] * n_ref if start is None else list(start)
+    matched = set(match_of_ref)
+    # A position a failed search visited leads only to positions failed
+    # searches visited, all matched, so no later augmenting path can use it:
+    # it stays visited for good. A successful search clears its own marks.
+    visited = [False] * n_ref
     for root in range(len(adj)):
-        visited = [False] * n_ref
+        if root in matched:
+            continue
+        seen = []
         # one [candidate, index of the edge it is trying] per level of the
         # search; a level below follows the candidate matched to that edge
         path = [[root, -1]]
@@ -198,41 +234,114 @@ def _max_matching(adj: list[list[int]], n_ref: int) -> list[int]:
                 path.pop()
                 continue
             top[1] = k
-            visited[row[k]] = True
-            if match_of_ref[row[k]] == -1:
+            j = row[k]
+            visited[j] = True
+            seen.append(j)
+            if match_of_ref[j] == -1:
                 for i, edge in path:
                     match_of_ref[adj[i][edge]] = i
+                for j in seen:
+                    visited[j] = False
                 break
-            path.append([match_of_ref[row[k]], -1])
+            path.append([match_of_ref[j], -1])
     return match_of_ref
 
 
-def _count_chunks(pairs: list[tuple[int, int]]) -> int:
-    """Chunks of an alignment given (cand_pos, ref_pos) pairs in cand order."""
-    chunks = 0
-    prev: tuple[int, int] | None = None
-    for i, j in pairs:
-        if prev is None or i != prev[0] + 1 or j != prev[1] + 1:
-            chunks += 1
-        prev = (i, j)
-    return chunks
+def _count_chunks(match_of_ref: Sequence[int]) -> int:
+    """Chunks of an alignment: matched pairs (i, j) whose (i-1, j-1) is not matched."""
+    return sum(
+        1
+        for j, i in enumerate(match_of_ref)
+        if i != -1 and not (i > 0 and j > 0 and match_of_ref[j - 1] == i - 1)
+    )
+
+
+def _diagonal_runs(adj: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """Every maximal run (i, j, length): edges (i+k, j+k) for k < length."""
+    rows = [set(row) for row in adj]
+    runs = []
+    for i, row in enumerate(adj):
+        before = rows[i - 1] if i else ()
+        for j in row:
+            if j - 1 not in before:
+                length = 1
+                while i + length < len(adj) and j + length in rows[i + length]:
+                    length += 1
+                runs.append((i, j, length))
+    return runs
+
+
+def _longest_runs(
+    adj: Sequence[Sequence[int]], runs: list[tuple[int, int, int]], n_ref: int
+) -> list[int]:
+    """match_of_ref of free diagonal runs taken greedily, longest first, ties
+    to the smallest (i, j).
+
+    A run popped from the heap that overlaps positions already taken is
+    split into its free stretches, which go back on the heap. Single edges
+    come last, in (i, j) order, which is one pass over adj.
+    """
+    heap = [(-length, i, j) for i, j, length in runs if length > 1]
+    heapq.heapify(heap)
+    match_of_ref = [-1] * n_ref
+    cand_free = [True] * len(adj)
+    while heap:
+        neg_length, i, j = heapq.heappop(heap)
+        free = [cand_free[i + k] and match_of_ref[j + k] == -1 for k in range(-neg_length)]
+        if all(free):
+            for k in range(-neg_length):
+                match_of_ref[j + k] = i + k
+                cand_free[i + k] = False
+            continue
+        k = 0
+        for ok, stretch in groupby(free):
+            length = len(list(stretch))
+            if ok and length > 1:
+                heapq.heappush(heap, (-length, i + k, j + k))
+            k += length
+    for i, row in enumerate(adj):
+        if cand_free[i]:
+            for j in row:
+                if match_of_ref[j] == -1:
+                    match_of_ref[j] = i
+                    break
+    return match_of_ref
 
 
 def _min_chunk_alignment(
-    adj: list[list[int]], n_ref: int
+    adj: Sequence[Sequence[int]], n_ref: int
 ) -> tuple[int, int, bool]:
     """(matches, chunks, exact) for a maximum-cardinality, fewest-chunk alignment.
 
-    Branch-and-bound over candidate positions in order; the cardinality is
-    pinned to the true maximum first, then chunks are minimized. Exceeding
-    the node budget degrades to the best alignment found so far (or, failing
-    that, the chunk count of a plain maximum matching).
+    exact means the chunk count is proven optimal. Every step inside a chunk
+    pairs an edge (i, j) with (i+1, j+1), and distinct steps use distinct i
+    and distinct j, so chunks >= max(1, matches - min(Dc, Dr)), where Dc
+    (Dr) counts the candidate (reference) positions that start such a pair.
+    Candidates are tried in turn and the first to meet that bound is
+    returned: the plain maximum matching, then the longest free diagonal
+    runs augmented to maximum cardinality, then (at most _ALIGN_MAX_LEN
+    tokens a side) a branch-and-bound search seeded with the better of the
+    two. Otherwise, or when the search exceeds its node budget, the best
+    alignment found is returned with exact = False.
     """
     n_cand = len(adj)
-    match_of_ref = _max_matching(adj, n_ref)
-    target = sum(1 for i in match_of_ref if i != -1)
+    plain = _max_matching(adj, n_ref)
+    target = n_ref - plain.count(-1)
     if target == 0:
         return 0, 0, True
+    best_chunks = _count_chunks(plain)
+    runs = _diagonal_runs(adj)
+    steps_i = {i + k for i, _, length in runs for k in range(length - 1)}
+    steps_j = {j + k for _, j, length in runs for k in range(length - 1)}
+    bound = max(1, target - min(len(steps_i), len(steps_j)))
+    if best_chunks == bound:
+        return target, best_chunks, True
+    seeded = _max_matching(adj, n_ref, _longest_runs(adj, runs, n_ref))
+    best_chunks = min(best_chunks, _count_chunks(seeded))
+    if best_chunks == bound:
+        return target, best_chunks, True
+    if n_cand > _ALIGN_MAX_LEN or n_ref > _ALIGN_MAX_LEN:
+        return target, best_chunks, False
 
     # suffix_cap[i] = how many candidates at position >= i have any edge;
     # optimistic bound on matches still obtainable from position i onward.
@@ -240,14 +349,13 @@ def _min_chunk_alignment(
     for i in range(n_cand - 1, -1, -1):
         suffix_cap[i] = suffix_cap[i + 1] + (1 if adj[i] else 0)
 
-    best_chunks = target + 1
     used = [False] * n_ref
     nodes = 0
     exhausted = False
 
     def dfs(i: int, matched: int, chunks: int, prev_i: int, prev_j: int) -> None:
         nonlocal best_chunks, nodes, exhausted
-        if exhausted or chunks >= best_chunks:
+        if exhausted or chunks >= best_chunks or best_chunks == bound:
             return
         nodes += 1
         if nodes > _ALIGN_NODE_BUDGET:
@@ -271,14 +379,8 @@ def _min_chunk_alignment(
                 used[j] = False
         dfs(i + 1, matched, chunks, prev_i, prev_j)
 
-    budget_ok = n_cand <= _ALIGN_MAX_LEN and n_ref <= _ALIGN_MAX_LEN
-    if budget_ok:
-        dfs(0, 0, 0, -2, -2)
-    if not budget_ok or (exhausted and best_chunks > target):
-        # fall back to the chunk count of the plain maximum matching
-        pairs = sorted((i, j) for j, i in enumerate(match_of_ref) if i != -1)
-        return target, _count_chunks(pairs), False
-    return target, best_chunks, not exhausted
+    dfs(0, 0, 0, -2, -2)
+    return target, best_chunks, best_chunks == bound or not exhausted
 
 
 def meteor(

@@ -11,6 +11,8 @@ import json
 import logging
 import math
 import random
+import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -78,13 +80,40 @@ def _score(value, where: str) -> float:
     return score
 
 
+def _flag(obj: dict, key: str, where: str) -> bool:
+    """obj[key], false when absent; only a JSON boolean is a flag (the string
+    "false" would otherwise count as true).
+    """
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _malformed(path: Path, text: str, exc: ValueError, first_line: int = 1) -> ValueError:
+    """The error naming the line of path where json.loads rejected text,
+    which starts on first_line.
+
+    Besides JSONDecodeError, json.loads raises a plain ValueError without a
+    position for an integer longer than CPython's digit limit; the line of
+    the first run of that many digits is reported for it.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        line, msg = exc.lineno, exc.msg
+    else:
+        long_int = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text)
+        line, msg = text.count("\n", 0, long_int.start() if long_int else 0) + 1, str(exc)
+    return ValueError(f"{path}: line {first_line + line - 1}: malformed JSON ({msg})")
+
+
 def _json_items(path: Path) -> Iterator[tuple[str, object]]:
     """Each item of the top-level JSON array in path, with its location."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: malformed JSON ({exc.msg})") from None
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise _malformed(path, text, exc) from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a top-level JSON array")
     for k, item in enumerate(data):
@@ -119,8 +148,8 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
             where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: malformed JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise _malformed(path, line, exc, lineno) from None
             set_id = str(_field(obj, "id", where))
             if set_id in first_line:
                 raise ValueError(
@@ -313,19 +342,21 @@ def load_usr_json(
         for k, r in enumerate(raw_responses):
             rwhere = f"{where}: responses[{k}]"
             text = str(_field(r, "text", rwhere))
-            is_ref = bool(r.get("is_reference", False))
+            is_ref = _flag(r, "is_reference", rwhere)
             quality = r.get("quality", [])
             if not isinstance(quality, list) or not (quality or is_ref):
                 raise ValueError(f"{rwhere}: 'quality' must list one score per annotator")
-            responses.append(
-                AnnotatedResponse(
-                    text=text,
-                    quality_scores=tuple(
-                        _score(q, f"{rwhere}: quality[{i}]") for i, q in enumerate(quality)
-                    ),
-                    is_reference=is_ref,
-                )
+            response = AnnotatedResponse(
+                text=text,
+                quality_scores=tuple(
+                    _score(q, f"{rwhere}: quality[{i}]") for i, q in enumerate(quality)
+                ),
+                is_reference=is_ref,
             )
+            if quality:
+                # finite scores can still sum past the float range
+                _score(response.final_score, f"{rwhere}: mean quality")
+            responses.append(response)
         if "reference" in obj:
             reference = str(obj["reference"])
         else:
@@ -364,6 +395,6 @@ def load_forum_json(
                 raise ValueError(f"{awhere}: 'votes' must be a non-negative integer")
             # the votes become float human scores, so they must fit a float
             _score(votes, f"{awhere}: votes")
-            answers.append(ForumAnswer(text, votes, bool(a.get("is_answer", False))))
+            answers.append(ForumAnswer(text, votes, _flag(a, "is_answer", awhere)))
         out.append((question, normalize_votes(answers)))
     return out

@@ -130,7 +130,39 @@ class TestMeteor:
         finally:
             sys.setrecursionlimit(limit)
         assert s.details["matches"] == 300.0
-        assert s.details["exact_alignment"] == 0.0
+        assert s.details["exact_alignment"] == 1.0
+
+    def test_repeat_heavy_pairs_match_exhaustive_oracle(self):
+        # four words, and a lexicon that chains big~large~huge without
+        # relating big to huge, so the plain matching, the longest-run seed,
+        # its augmentation and the search each decide some of these pairs
+        pairs = frozenset({("big", "large"), ("large", "huge")})
+        lex = SynonymLexicon(list(pairs))
+        rng = random.Random(2024)
+        vocab = ["big", "large", "huge", "cat"]
+        for _ in range(300):
+            ref = [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
+            cand = [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
+            for synonyms, syn_pairs in ((None, frozenset()), (lex, pairs)):
+                got = meteor([Token(w) for w in ref], [Token(w) for w in cand], synonyms)
+                want = brute_meteor(ref, cand, porter_stem, syn_pairs)
+                # with matches and lengths fixed the score falls strictly
+                # with the chunk count, so equal scores mean equal chunks
+                assert got.value == pytest.approx(want, abs=1e-12), (ref, cand, synonyms)
+                assert got.details.get("exact_alignment", 1.0) == 1.0, (ref, cand)
+
+    def test_self_alignment_is_one_certified_chunk_at_any_length(self):
+        # half function words, so every word has many partners; at 2,000
+        # tokens any recursion per word would pass the default limit of 1,000
+        function_words = "the a of in to and is it that for on with as at by".split()
+        rng = random.Random(5)
+        content = [f"w{k}" for k in range(300)]
+        for n in (1, 2, 3, 10, 48, 49, 120, 600, 2000):
+            words = [rng.choice(function_words if k % 2 else content) for k in range(n)]
+            x = [Token(w) for w in words]
+            s = meteor(x, x)
+            assert s.value == 1 - 0.5 / n**3, n
+            assert s.details["chunks"] == 1.0 and s.details["exact_alignment"] == 1.0, n
 
     def test_matching_equals_recursive_kuhn(self):
         def kuhn(adj, n_ref):

@@ -543,6 +543,23 @@ class TestConvert:
             ("usr", [{"reference": "r", "responses": [{"text": "a", "quality": [None]}]}],
              "item 0: responses[0]: quality[0]"),
             ("forum", [{"question": "q", "answers": [["text"]]}], "item 0: answers[0]"),
+            # the string "false" once read as true: 3 sets instead of 6, exit 0
+            ("forum", [{"question": "q", "answers": [
+                {"text": "ref", "votes": 9, "is_answer": True},
+                {"text": "a1", "votes": 7, "is_answer": False},
+                {"text": "a2", "votes": 5, "is_answer": "false"},
+                {"text": "a3", "votes": 3},
+                {"text": "a4", "votes": 1, "is_answer": False},
+            ]}], "item 0: answers[2]: 'is_answer' must be true or false"),
+            ("usr", [{"responses": [
+                {"text": "ref", "is_reference": True},
+                {"text": "a", "quality": [3], "is_reference": "false"},
+            ]}], "item 0: responses[1]: 'is_reference' must be true or false"),
+            # the mean of two finite scores once overflowed to "human": Infinity
+            ("usr", [{"reference": "r", "responses": [
+                {"text": "a", "quality": [3]},
+                {"text": "b", "quality": [1e308, 1e308]},
+            ]}], "item 0: responses[1]: mean quality: expected a finite number, got inf"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, fmt, data, place):

@@ -125,6 +125,15 @@ class TestLoadJsonl:
         assert str(info.value).startswith(f"{p}: line 2: {message}")
         assert str(info.value).count(str(p)) == 1
 
+    def test_integer_past_digit_limit_names_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        long_human = jsonl_line("s1", 5, 2).replace('"human": 5', '"human": ' + "9" * 5000)
+        p.write_text(jsonl_line("s0", 4, 1) + "\n" + long_human + "\n")
+        with pytest.raises(ValueError) as info:
+            load_jsonl(p)
+        assert str(info.value).startswith(f"{p}: line 2: malformed JSON (")
+        assert str(info.value).count(str(p)) == 1
+
     def test_numeric_strings_and_bools_parse_as_float(self, tmp_path):
         p = tmp_path / "c.jsonl"
         obj = json.loads(jsonl_line("s1", 5, 2))
@@ -369,9 +378,16 @@ class TestLoadUsrJson:
             (usr_file({"responses": [["text"]]}), "item 1: responses[0]: expected a JSON object"),
             (usr_file({"context": 5}), "item 1: 'context' must be a string or a list of strings"),
             ('[\n{"reference": "r",\n "responses": [}\n]', "line 3: malformed JSON"),
+            ('[{"reference": "r",\n "responses": [\n {"text": "a", "quality": [%s]}]}]'
+             % ("3" * 5000), "line 3: malformed JSON (Exceeds the limit"),
+            (usr_file({"responses": [{"text": "r1", "quality": [3], "is_reference": 0}]}),
+             "item 1: responses[0]: 'is_reference' must be true or false, got 0"),
+            (usr_file({"responses": [{"text": "r1", "quality": [1e308, 1e308]}]}),
+             "item 1: responses[0]: mean quality: expected a finite number, got inf"),
         ],
         ids=["quality-null", "quality-nan", "quality-missing", "response-not-object",
-             "context-number", "malformed-json"],
+             "context-number", "malformed-json", "integer-past-digit-limit", "flag-number",
+             "mean-overflow"],
     )
     def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
         p = tmp_path / "usr.json"
@@ -430,8 +446,13 @@ class TestLoadForumJson:
              "item 1: answers[0]: votes: expected a finite number"),
             ('[{"question": "q",\n "answers": [{"text": "a" "votes": 1}]}]',
              "line 2: malformed JSON"),
+            ('[{"question": "q",\n "answers": [{"text": "a", "votes": %s}]}]' % ("7" * 5000),
+             "line 2: malformed JSON (Exceeds the limit"),
+            ('[{"question": "q", "answers": [{"text": "a", "votes": 1, "is_answer": "false"}]}]',
+             "item 0: answers[0]: 'is_answer' must be true or false, got 'false'"),
         ],
-        ids=["answer-not-object", "votes-beyond-float", "malformed-json"],
+        ids=["answer-not-object", "votes-beyond-float", "malformed-json",
+             "integer-past-digit-limit", "flag-string"],
     )
     def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
         p = tmp_path / "forum.json"
