@@ -27,8 +27,6 @@ from .core import (
     TaggedSentence,
     TagSet,
     Token,
-    detokenize,
-    partition,
     tokenize,
 )
 from .embed import EmbeddingTable, SentenceVector, average_embedding, cosine, load_vec
@@ -47,7 +45,6 @@ from .ingest import (
 from .metaeval import (
     AgreementVector,
     PowerResult,
-    duplicate_bad,
     kendall_tau,
     paired_ttest,
     pos_distribution,
@@ -56,7 +53,6 @@ from .metaeval import (
 from .posmetrics import (
     Metric,
     PosSplit,
-    PosWeight,
     PreparedSentence,
     pos_split,
     pos_weight,
@@ -93,7 +89,6 @@ __all__ = [
     "MetricScore",
     "PosSplit",
     "PosTag",
-    "PosWeight",
     "PowerResult",
     "PreparedSentence",
     "PreparedTokens",
@@ -108,8 +103,6 @@ __all__ = [
     "build_forum_sets",
     "build_usr_sets",
     "cosine",
-    "detokenize",
-    "duplicate_bad",
     "embedding_average",
     "kendall_tau",
     "load_external_scores",
@@ -121,7 +114,6 @@ __all__ = [
     "load_vec",
     "meteor",
     "paired_ttest",
-    "partition",
     "pos_distribution",
     "pos_split",
     "pos_weight",

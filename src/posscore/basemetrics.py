@@ -135,20 +135,12 @@ class SynonymLexicon:
     """Symmetric word-relatedness set loaded from ``lemma<TAB>synonym`` lines."""
 
     def __init__(self, pairs: Sequence[tuple[str, str]] = ()) -> None:
-        self._pairs: frozenset[tuple[str, str]] = frozenset(
-            (a.casefold(), b.casefold()) for a, b in pairs
-        )
         related: dict[str, set[str]] = {}
-        for a, b in self._pairs:
+        for a, b in pairs:
+            a, b = a.casefold(), b.casefold()
             related.setdefault(a, set()).add(b)
             related.setdefault(b, set()).add(a)
         self._related = {word: frozenset(words) for word, words in related.items()}
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def related(self, a: str, b: str) -> bool:
-        return b in self.related_to(a)
 
     def related_to(self, word: str) -> frozenset[str]:
         """The words the lexicon relates to word, in either direction."""

@@ -40,11 +40,6 @@ class PosTag(Enum):
         except KeyError:
             raise ValueError(f"unknown POS tag {text!r}") from None
 
-    @property
-    def is_adopted(self) -> bool:
-        """True for the informative, interpretable tags used by the POS metrics."""
-        return self in ADOPTED_TAGS
-
 
 #: The informative and interpretable tags; only these may appear in a TagSet.
 ADOPTED_TAGS = frozenset(
@@ -167,9 +162,6 @@ class TaggedSentence:
     def __iter__(self) -> Iterator[tuple[Token, PosTag]]:
         return iter(self.items)
 
-    def __getitem__(self, i: int) -> tuple[Token, PosTag]:
-        return self.items[i]
-
     @property
     def tokens(self) -> tuple[Token, ...]:
         return tuple(tok for tok, _ in self.items)
@@ -214,20 +206,6 @@ class EvaluationSet:
         """Slot letter of the lower-human-score candidate."""
         return "b" if self.human_a > self.human_b else "a"
 
-    def candidate(self, slot: str) -> str:
-        if slot == "a":
-            return self.candidate_a
-        if slot == "b":
-            return self.candidate_b
-        raise ValueError(f"unknown candidate slot {slot!r}")
-
-    def human(self, slot: str) -> float:
-        if slot == "a":
-            return self.human_a
-        if slot == "b":
-            return self.human_b
-        raise ValueError(f"unknown candidate slot {slot!r}")
-
 
 _PUNCT_CHARS = frozenset(string.punctuation)
 
@@ -250,27 +228,3 @@ def tokenize(text: str) -> list[Token]:
             out.append(Token(chunk[start:end]))
         out.extend(Token(c) for c in chunk[end:])
     return out
-
-
-def detokenize(tokens: Iterable[Token]) -> str:
-    """Space-join token surfaces; right inverse of tokenize on tokenized text."""
-    return " ".join(t.surface for t in tokens)
-
-
-def partition(
-    sentence: TaggedSentence, tags: TagSet
-) -> tuple[list[Token], list[PosTag], list[Token]]:
-    """Split a sentence into POS words (with their tags) and the remainder.
-
-    Order is preserved on both sides; every token lands in exactly one side.
-    """
-    pos_words: list[Token] = []
-    pos_tags: list[PosTag] = []
-    non_pos_words: list[Token] = []
-    for token, tag in sentence:
-        if tag in tags:
-            pos_words.append(token)
-            pos_tags.append(tag)
-        else:
-            non_pos_words.append(token)
-    return pos_words, pos_tags, non_pos_words

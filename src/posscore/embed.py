@@ -72,8 +72,8 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     occurrence wins. With `vocab_filter` set, only rows whose casefolded
     token is in it are kept, and the values of the other rows are never
     parsed. Every row's value count is still checked against the header
-    dimension: a mismatch, or a non-numeric value in a kept row, raises
-    ValueError naming the line.
+    dimension: a mismatch, or a non-numeric or non-finite value in a kept
+    row, raises ValueError naming the line.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -109,6 +109,8 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
                 vec = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value in {token!r}")
             vec.setflags(write=False)
             vectors[token] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)

@@ -67,6 +67,14 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
+def _text(obj, key: str, where: str) -> str:
+    """obj[key], which must be a JSON string: str() would read null as "None"."""
+    value = _field(obj, key, where)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _score(value, where: str) -> float:
     """A finite float, parsed as float() parses it (numeric strings and bools
     included); a NaN or infinite score would order its pair silently wrong.
@@ -150,14 +158,14 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
                 obj = json.loads(line)
             except ValueError as exc:
                 raise _malformed(path, line, exc, lineno) from None
-            set_id = str(_field(obj, "id", where))
+            set_id = _text(obj, "id", where)
             if set_id in first_line:
                 raise ValueError(
                     f"{where}: duplicate set id {set_id!r} (first on line {first_line[set_id]})"
                 )
             first_line[set_id] = lineno
             context = _as_context(obj.get("context"), where)
-            reference = _field(obj, "reference", where)
+            reference = _text(obj, "reference", where)
             candidates = _field(obj, "candidates", where)
             if not isinstance(candidates, list) or len(candidates) != 2:
                 raise ValueError(f"{where}: 'candidates' must list exactly 2 entries")
@@ -165,7 +173,7 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
             humans = []
             for k, cand in enumerate(candidates):
                 cwhere = f"{where}: candidates[{k}]"
-                texts.append(str(_field(cand, "text", cwhere)))
+                texts.append(_text(cand, "text", cwhere))
                 humans.append(_score(_field(cand, "human", cwhere), f"{cwhere}: human"))
             if humans[0] == humans[1]:
                 skipped_ties += 1
@@ -174,7 +182,7 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
                 EvaluationSet(
                     id=set_id,
                     context=context,
-                    reference=str(reference),
+                    reference=reference,
                     candidate_a=texts[0],
                     candidate_b=texts[1],
                     human_a=humans[0],
@@ -341,7 +349,7 @@ def load_usr_json(
         responses = []
         for k, r in enumerate(raw_responses):
             rwhere = f"{where}: responses[{k}]"
-            text = str(_field(r, "text", rwhere))
+            text = _text(r, "text", rwhere)
             is_ref = _flag(r, "is_reference", rwhere)
             quality = r.get("quality", [])
             if not isinstance(quality, list) or not (quality or is_ref):
@@ -358,7 +366,7 @@ def load_usr_json(
                 _score(response.final_score, f"{rwhere}: mean quality")
             responses.append(response)
         if "reference" in obj:
-            reference = str(obj["reference"])
+            reference = _text(obj, "reference", where)
         else:
             flagged = [r for r in responses if r.is_reference]
             if len(flagged) != 1:
@@ -385,11 +393,11 @@ def load_forum_json(
         raw_answers = _field(obj, "answers", where)
         if not isinstance(raw_answers, list):
             raise ValueError(f"{where}: 'answers' must be a list")
-        question = str(obj.get("question", ""))
+        question = _text(obj, "question", where) if "question" in obj else ""
         answers = []
         for k, a in enumerate(raw_answers):
             awhere = f"{where}: answers[{k}]"
-            text = str(_field(a, "text", awhere))
+            text = _text(a, "text", awhere)
             votes = _field(a, "votes", awhere)
             if not isinstance(votes, int) or isinstance(votes, bool) or votes < 0:
                 raise ValueError(f"{awhere}: 'votes' must be a non-negative integer")

@@ -3,13 +3,13 @@
 Predictive power counts per-set sign agreement between a metric's score
 difference and the human score difference; paired t-tests compare two
 metrics' agreement vectors; Kendall's tau-b correlates two metrics' raw
-scores; distribution and length-bias helpers back the corpus analyses.
+scores; a POS distribution helper backs the corpus analyses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import EvaluationSet, PosTag, TaggedSentence, TagSet
@@ -257,16 +257,3 @@ def pos_distribution(
                 totals[tag] += 1
     n = len(responses)
     return {tag: totals[tag] / n for tag in totals}
-
-
-def duplicate_bad(corpus: Sequence[EvaluationSet]) -> list[EvaluationSet]:
-    """Length-bias probe: double the lower-human-score candidate's text.
-
-    The bad candidate is replaced by itself concatenated with itself (one
-    separating space); everything else is unchanged.
-    """
-    out = []
-    for ev in corpus:
-        text = ev.candidate(ev.bad_slot)
-        out.append(replace(ev, **{f"candidate_{ev.bad_slot}": f"{text} {text}"}))
-    return out

@@ -23,7 +23,7 @@ from .basemetrics import (
     embedding_average,
     meteor,
 )
-from .core import PosTag, TaggedSentence, TagSet, Token, partition
+from .core import PosTag, TaggedSentence, TagSet, Token
 from .embed import EmbeddingTable, cosine
 
 #: Base metrics usable inside PWE and PTLC.
@@ -46,12 +46,21 @@ class PosSplit:
 def pos_split(
     sentence: TaggedSentence, tags: TagSet, count_punct: bool = True
 ) -> PosSplit:
-    """Partition a tagged response and compute its POS-word fraction.
+    """Partition a tagged response into POS words (tag in tags) and the rest,
+    keeping order, and compute its POS-word fraction.
 
     The fraction denominator is the full token count; with count_punct off,
     PUNCT-tagged tokens are excluded from it.
     """
-    pos_words, pos_tags, non_pos_words = partition(sentence, tags)
+    pos_words: list[Token] = []
+    pos_tags: list[PosTag] = []
+    non_pos_words: list[Token] = []
+    for token, tag in sentence:
+        if tag in tags:
+            pos_words.append(token)
+            pos_tags.append(tag)
+        else:
+            non_pos_words.append(token)
     if count_punct:
         total = len(sentence)
     else:
@@ -66,18 +75,7 @@ def pos_split(
     )
 
 
-@dataclass(frozen=True)
-class PosWeight:
-    """The exponential POS-fraction weight w."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= math.e:
-            raise ValueError(f"weight {self.value!r} outside [0, e]")
-
-
-def pos_weight(n_ref: float, n_cand: float) -> PosWeight:
+def pos_weight(n_ref: float, n_cand: float) -> float:
     """w = exp(1 - n_ref/n_cand), with continuous-limit conventions at zero.
 
     n_cand = 0 with n_ref > 0 gives 0; both zero gives the neutral 1;
@@ -88,10 +86,10 @@ def pos_weight(n_ref: float, n_cand: float) -> PosWeight:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     if n_cand == 0.0:
-        return PosWeight(0.0 if n_ref > 0.0 else 1.0)
+        return 0.0 if n_ref > 0.0 else 1.0
     if n_ref == 0.0:
-        return PosWeight(math.e)
-    return PosWeight(math.exp(1.0 - n_ref / n_cand))
+        return math.e
+    return math.exp(1.0 - n_ref / n_cand)
 
 
 #: One token per POS tag: PTLC scores tag sequences as token sequences.
@@ -227,12 +225,12 @@ def posscore(
     s_pos = cosine(ref.pos_words.average(table), cand.pos_words.average(table))
     s_non_pos = cosine(ref.non_pos_words.average(table), cand.non_pos_words.average(table))
     degenerate = n_ref == 0.0 or n_cand == 0.0
-    value = weight.value * s_pos + s_non_pos
+    value = weight * s_pos + s_non_pos
     return MetricScore(
         "posscore",
         value,
         {
-            "w": weight.value,
+            "w": weight,
             "s_pos": s_pos,
             "s_non_pos": s_non_pos,
             "n_ref": n_ref,

@@ -43,13 +43,13 @@ def test_c01_formula_fidelity():
     for _ in range(1000):
         n_ref = rng.uniform(1e-6, 1.0)
         n_cand = rng.uniform(1e-6, 1.0)
-        w = pos_weight(n_ref, n_cand).value
+        w = pos_weight(n_ref, n_cand)
         assert abs(w - math.exp(1.0 - n_ref / n_cand)) <= 1e-12
         if n_ref > n_cand:
             assert w < 1.0
         elif n_ref < n_cand:
             assert w > 1.0
-        assert abs(pos_weight(n_ref, n_ref).value - 1.0) <= 1e-12
+        assert abs(pos_weight(n_ref, n_ref) - 1.0) <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     report(1, "PASS", f"1000 weight evaluations, branch law + closed form, {elapsed:.3f}s")

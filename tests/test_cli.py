@@ -560,6 +560,16 @@ class TestConvert:
                 {"text": "a", "quality": [3]},
                 {"text": "b", "quality": [1e308, 1e308]},
             ]}], "item 0: responses[1]: mean quality: expected a finite number, got inf"),
+            # a null reference was once written to the corpus as the text "None"
+            ("usr", [{"reference": None, "responses": [
+                {"text": "a", "quality": [3]},
+                {"text": "b", "quality": [1]},
+            ]}], "item 0: 'reference' must be a string, got None"),
+            ("forum", [{"question": "q", "answers": [
+                {"text": "ref", "votes": 9, "is_answer": True},
+                {"text": 7, "votes": 7},
+                {"text": "a2", "votes": 5},
+            ]}], "item 0: answers[1]: 'text' must be a string, got 7"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, fmt, data, place):
@@ -709,6 +719,23 @@ class TestCommandFlags:
         rc = run(*[a.format(ws=cli_workspace) for a in argv], "--out", str(out))
         assert rc == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", [
+        "pwe", "pwe:rouge", "posscore:a:b", "posscore:det", "foo", "bleu1:x", "ptlc:bleu1:verb:x",
+    ])
+    def test_malformed_metric_id_exits_2(self, cli_workspace, tmp_path, capsys, metric):
+        out = tmp_path / "scores.csv"
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", metric,
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --metrics: ")
         assert not out.exists()
 
     def test_readme_lists_each_commands_flags(self, capsys):
@@ -916,6 +943,24 @@ class TestEmbeddingLoad:
         err = capsys.readouterr().err
         assert "bad.vec: line 3" in err and "'x'" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_exits_2(self, cli_workspace, tmp_path, capsys, value):
+        # a NaN row once made every `ea` score read exactly 1.0, with exit 0;
+        # the row of a word the corpus never uses is skipped unparsed
+        vec = tmp_path / "bad.vec"
+        vec.write_text(f"3 2\nunused nan 0\ncat 1.0 0.5\nsat {value} 0\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--embeddings", str(vec),
+            "--metrics", "ea",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert "bad.vec: line 4: non-finite value in 'sat'" in capsys.readouterr().err
+
     def test_tag_source_errors_before_vec(self, tmp_path, capsys):
         corpus = tmp_path / "mini.jsonl"
         write_mini_corpus(corpus, n=2)
@@ -995,7 +1040,6 @@ def run_sentences(ws, tagged, duplicate):
     """(set id, role) -> the sentence a run scores, built without the CLI."""
     from posscore.core import TaggedSentence
     from posscore.ingest import load_jsonl
-    from posscore.metaeval import duplicate_bad
     from posscore.postag import remap_aux_to_verb
 
     corpus = load_jsonl(ws / "corpus.jsonl")
@@ -1010,10 +1054,10 @@ def run_sentences(ws, tagged, duplicate):
                 bad = (ev.id, "b" if ev.good_slot == "a" else "a")
                 out[bad] = TaggedSentence(out[bad].items + out[bad].items)
         return out
-    if duplicate:
-        corpus = duplicate_bad(corpus)
     for ev in corpus:
         for role, text in (("ref", ev.reference), ("a", ev.candidate_a), ("b", ev.candidate_b)):
+            if duplicate and role == ev.bad_slot:
+                text = f"{text} {text}"
             out[(ev.id, role)] = tokenize(text)
     return out
 

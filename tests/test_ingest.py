@@ -112,9 +112,13 @@ class TestLoadJsonl:
             ({"candidates": [{"text": "a", "human": 1}, {"text": "b", "human": 10**400}]},
              "candidates[1]: human: expected a finite number"),
             ({"context": 5}, "'context' must be a string or a list of strings"),
+            ({"id": 3.0}, "'id' must be a string, got 3.0"),
+            ({"reference": None}, "'reference' must be a string, got None"),
+            ({"candidates": [{"text": {"x": 1}, "human": 1}, {"text": "b", "human": 2}]},
+             "candidates[0]: 'text' must be a string, got {'x': 1}"),
         ],
         ids=["candidates-strings", "human-list", "human-word", "human-nan", "human-beyond-float",
-             "context-number"],
+             "context-number", "id-number", "reference-null", "text-object"],
     )
     def test_bad_input_names_file_and_line_once(self, tmp_path, change, message):
         p = tmp_path / "c.jsonl"
@@ -384,10 +388,13 @@ class TestLoadUsrJson:
              "item 1: responses[0]: 'is_reference' must be true or false, got 0"),
             (usr_file({"responses": [{"text": "r1", "quality": [1e308, 1e308]}]}),
              "item 1: responses[0]: mean quality: expected a finite number, got inf"),
+            (usr_file({"reference": None}), "item 1: 'reference' must be a string, got None"),
+            (usr_file({"responses": [{"text": ["r1"], "quality": [3]}]}),
+             "item 1: responses[0]: 'text' must be a string, got ['r1']"),
         ],
         ids=["quality-null", "quality-nan", "quality-missing", "response-not-object",
              "context-number", "malformed-json", "integer-past-digit-limit", "flag-number",
-             "mean-overflow"],
+             "mean-overflow", "reference-null", "text-list"],
     )
     def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
         p = tmp_path / "usr.json"
@@ -450,9 +457,13 @@ class TestLoadForumJson:
              "line 2: malformed JSON (Exceeds the limit"),
             ('[{"question": "q", "answers": [{"text": "a", "votes": 1, "is_answer": "false"}]}]',
              "item 0: answers[0]: 'is_answer' must be true or false, got 'false'"),
+            ('[{"question": "q", "answers": [{"text": null, "votes": 1}]}]',
+             "item 0: answers[0]: 'text' must be a string, got None"),
+            ('[{"question": ["q"], "answers": []}]',
+             "item 0: 'question' must be a string, got ['q']"),
         ],
         ids=["answer-not-object", "votes-beyond-float", "malformed-json",
-             "integer-past-digit-limit", "flag-string"],
+             "integer-past-digit-limit", "flag-string", "text-null", "question-list"],
     )
     def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
         p = tmp_path / "forum.json"

@@ -8,7 +8,6 @@ from posscore.core import EvaluationSet, PosTag, TagSet
 from posscore.metaeval import (
     AgreementVector,
     bonferroni,
-    duplicate_bad,
     kendall_tau,
     paired_ttest,
     pos_distribution,
@@ -267,29 +266,3 @@ class TestPosDistribution:
         with pytest.raises(ValueError, match="no responses"):
             pos_distribution([], TagSet.parse("verb+noun"))
 
-
-class TestDuplicateBad:
-    def test_doubles_only_the_bad_side(self):
-        corpus = [
-            make_set(0, 5.0, 1.0),
-            make_set(1, 1.0, 5.0),
-        ]
-        out = duplicate_bad(corpus)
-        assert out[0].candidate_a == "one"
-        assert out[0].candidate_b == "two two"
-        assert out[1].candidate_a == "one one"
-        assert out[1].candidate_b == "two"
-
-    def test_everything_else_unchanged(self):
-        ev = make_set(0, 2.0, 4.0)
-        (out,) = duplicate_bad([ev])
-        assert out.id == ev.id
-        assert out.reference == ev.reference
-        assert out.human_a == ev.human_a and out.human_b == ev.human_b
-
-    def test_token_count_doubles(self):
-        from posscore.core import tokenize
-
-        ev = make_set(0, 5.0, 1.0)
-        (out,) = duplicate_bad([ev])
-        assert len(tokenize(out.candidate_b)) == 2 * len(tokenize(ev.candidate_b))

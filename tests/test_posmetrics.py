@@ -45,26 +45,46 @@ class TestPosSplit:
         assert off.pos_fraction == pytest.approx(2 / 3)
         assert on.pos_fraction == pytest.approx(0.5)
 
+    def test_true_partition_preserving_order(self):
+        sent = TaggedSentence.from_strings(
+            [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB"), (".", "PUNCT")]
+        )
+        split = pos_split(sent, TagSet.parse("noun+verb"))
+        assert [t.surface for t in split.pos_words] == ["cat", "sat"]
+        assert split.pos_tags == (PosTag.NOUN, PosTag.VERB)
+        assert [t.surface for t in split.non_pos_words] == ["the", "."]
+        # every token lands on exactly one side
+        assert len(split.pos_words) + len(split.non_pos_words) == len(sent)
+
+    def test_monotone_in_tagset(self):
+        sent = TaggedSentence.from_strings(
+            [("big", "ADJ"), ("dogs", "NOUN"), ("run", "VERB"), ("fast", "ADV")]
+        )
+        small = pos_split(sent, TagSet.parse("noun")).pos_words
+        large = pos_split(sent, TagSet.parse("noun+verb+adj+adv")).pos_words
+        assert {t.surface for t in small} <= {t.surface for t in large}
+
     def test_empty_sentence(self):
         split = pos_split(TaggedSentence(()), DEFAULT)
         assert split.pos_fraction == 0.0 and split.total_len == 0
+        assert split.pos_words == () and split.pos_tags == () and split.non_pos_words == ()
 
 
 class TestPosWeight:
     def test_equal_fractions(self):
-        assert pos_weight(0.5, 0.5).value == pytest.approx(1.0, abs=1e-12)
+        assert pos_weight(0.5, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form(self):
-        assert pos_weight(0.4, 0.8).value == pytest.approx(1.6487, abs=1e-4)
+        assert pos_weight(0.4, 0.8) == pytest.approx(1.6487, abs=1e-4)
 
     def test_zero_candidate(self):
-        assert pos_weight(0.6, 0.0).value == 0.0
+        assert pos_weight(0.6, 0.0) == 0.0
 
     def test_both_zero_neutral(self):
-        assert pos_weight(0.0, 0.0).value == 1.0
+        assert pos_weight(0.0, 0.0) == 1.0
 
     def test_zero_reference(self):
-        assert pos_weight(0.0, 0.7).value == math.e
+        assert pos_weight(0.0, 0.7) == math.e
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -78,7 +98,7 @@ class TestPosWeight:
     )
     @example(n_ref=0.9999999999999999, n_cand=1.0)
     def test_branch_law(self, n_ref, n_cand):
-        w = pos_weight(n_ref, n_cand).value
+        w = pos_weight(n_ref, n_cand)
         assert w == math.exp(1 - n_ref / n_cand)
         # within an ulp or so of 1, exp(1 - n_ref/n_cand) rounds to exactly 1.0
         strict = abs(1 - n_ref / n_cand) > 1e-15
@@ -96,8 +116,8 @@ class TestPosWeight:
     )
     def test_monotone(self, n_ref, n_cand):
         # increasing in n_cand, decreasing in n_ref
-        assert pos_weight(n_ref, n_cand + 0.05).value > pos_weight(n_ref, n_cand).value
-        assert pos_weight(n_ref + 0.05, n_cand).value < pos_weight(n_ref, n_cand).value
+        assert pos_weight(n_ref, n_cand + 0.05) > pos_weight(n_ref, n_cand)
+        assert pos_weight(n_ref + 0.05, n_cand) < pos_weight(n_ref, n_cand)
 
 
 WATER_PAIRS = [
