@@ -67,6 +67,9 @@ class TestPosSplit:
     def test_empty_sentence(self):
         split = pos_split(TaggedSentence(()), DEFAULT)
         assert split.pos_fraction == 0.0 and split.total_len == 0
+
+    def test_empty_sentence_splits_to_nothing(self):
+        split = pos_split(TaggedSentence(()), DEFAULT)
         assert split.pos_words == () and split.pos_tags == () and split.non_pos_words == ()
 
 
