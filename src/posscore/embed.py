@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -40,15 +41,28 @@ class EmbeddingTable:
 
     @classmethod
     def from_dict(cls, vectors: Mapping[str, Iterable[float]]) -> "EmbeddingTable":
-        """Build a small table from plain python data; used by tests and demos."""
+        """Build a small table from plain python data; used by tests and demos.
+        Rows are checked as `load_vec` checks them.
+        """
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
         dims = {a.shape for a in arrays.values()}
         if len(dims) > 1:
             raise ValueError(f"inconsistent vector lengths: {sorted(dims)}")
         dim = next(iter(dims))[0] if arrays else 1
-        for a in arrays.values():
+        for k, a in arrays.items():
+            problem = _row_problem(a)
+            if problem:
+                raise ValueError(f"{problem} in {k!r}")
             a.setflags(write=False)
         return cls(dim=dim, vectors=arrays)
+
+
+def _row_problem(vec: np.ndarray) -> str | None:
+    """Why `cosine` could not use this row (it squares the values), or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(vec @ vec):
+            return None
+    return "squared norm past the float range" if np.isfinite(vec).all() else "non-finite value"
 
 
 @dataclass(frozen=True)
@@ -72,8 +86,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     occurrence wins. With `vocab_filter` set, only rows whose casefolded
     token is in it are kept, and the values of the other rows are never
     parsed. Every row's value count is still checked against the header
-    dimension: a mismatch, or a non-numeric or non-finite value in a kept
-    row, raises ValueError naming the line.
+    dimension: a mismatch, or in a kept row a non-numeric or non-finite
+    value or a squared norm past the float range, raises ValueError naming
+    the line.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -109,8 +124,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
                 vec = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite value in {token!r}")
+            problem = _row_problem(vec)
+            if problem:
+                raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
             vec.setflags(write=False)
             vectors[token] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)
@@ -139,7 +155,9 @@ def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> Sentenc
 
 
 def cosine(u: SentenceVector, v: SentenceVector) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either side is empty or near-zero."""
+    """Cosine similarity in [-1, 1]; 0 when either side is empty or near-zero.
+    Values whose norms or dot product leave the float range raise ValueError.
+    """
     if u.values.shape != v.values.shape:
         raise ValueError(
             f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}"
@@ -150,5 +168,8 @@ def cosine(u: SentenceVector, v: SentenceVector) -> float:
     nv = float(np.linalg.norm(v.values))
     if nu < 1e-12 or nv < 1e-12:
         return 0.0
-    value = float(np.dot(u.values, v.values)) / (nu * nv)
+    denominator = nu * nv
+    value = float(np.dot(u.values, v.values)) / denominator
+    if not (math.isfinite(denominator) and math.isfinite(value)):
+        raise ValueError("cosine: vector values leave the float range")
     return max(-1.0, min(1.0, value))

@@ -39,7 +39,12 @@ class AnnotatedResponse:
 
     @property
     def final_score(self) -> float:
-        return sum(self.quality_scores) / len(self.quality_scores)
+        """The mean score. When the plain sum leaves the float range, the
+        scores are divided by their count before they are summed.
+        """
+        n = len(self.quality_scores)
+        mean = sum(self.quality_scores) / n
+        return mean if math.isfinite(mean) else sum(q / n for q in self.quality_scores)
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,7 @@ def load_usr_json(
                 is_reference=is_ref,
             )
             if quality:
-                # finite scores can still sum past the float range
+                # scores near the float maximum can round past it even when divided first
                 _score(response.final_score, f"{rwhere}: mean quality")
             responses.append(response)
         if "reference" in obj:

@@ -8,6 +8,7 @@ with averaged weights and is deterministic under a fixed shuffle seed.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import PosTag, TaggedSentence, Token
 
-_TAG_ORDER = {tag: i for i, tag in enumerate(PosTag)}
+_TAGS = tuple(PosTag)  # weights are keyed by index in this order: ints hash in C
 
 _PRIOR_MIN_COUNT = 5
 
@@ -49,21 +50,22 @@ def _features(
 
 @dataclass(frozen=True)
 class TaggerModel:
-    """Averaged-perceptron weights plus a prior for unambiguous vocabulary."""
+    """Averaged-perceptron weights plus a prior for unambiguous vocabulary.
+    `feature_weights` maps a feature to {tag index in PosTag order: weight}.
+    """
 
-    feature_weights: Mapping[str, Mapping[PosTag, float]]
+    feature_weights: Mapping[str, Mapping[int, float]]
     tag_prior: Mapping[str, PosTag]
     iterations_trained: int
 
 
-def _predict(weights: Mapping[str, Mapping[PosTag, float]], feats: Sequence[str]) -> PosTag:
-    """The tag with the highest summed weight over feats."""
-    scores: defaultdict[PosTag, float] = defaultdict(float)
+def _predict(weights: Mapping[str, Mapping[int, float]], feats: Sequence[str]) -> int:
+    """Index of the highest-scoring tag over feats; unweighted tags score 0, ties go low."""
+    scores = [0.0] * len(_TAGS)
     for f in feats:
-        for t, w in weights.get(f, {}).items():
-            scores[t] += w
-    # ties broken by the fixed tag-alphabet order
-    return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
+        for i, w in weights.get(f, {}).items():
+            scores[i] += w
+    return scores.index(max(scores))
 
 
 def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
@@ -73,26 +75,24 @@ def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
     prev_tag = _BOS
     out = []
     for i, token in enumerate(tokens):
-        prior = model.tag_prior.get(norms[i])
-        if prior is not None:
-            chosen = prior
-        else:
-            chosen = _predict(model.feature_weights, _features(norms, surfaces, i, prev_tag))
+        chosen = model.tag_prior.get(norms[i])
+        if chosen is None:
+            chosen = _TAGS[_predict(model.feature_weights, _features(norms, surfaces, i, prev_tag))]
         out.append((token, chosen))
         prev_tag = chosen.value
     return TaggedSentence(tuple(out))
 
 
 class _AveragedWeights:
-    """Perceptron weights with the lazy-averaging bookkeeping."""
+    """Perceptron weights with the lazy-averaging bookkeeping, by tag index."""
 
     def __init__(self) -> None:
-        self.weights: defaultdict[str, dict[PosTag, float]] = defaultdict(dict)
-        self._totals: defaultdict[tuple[str, PosTag], float] = defaultdict(float)
-        self._stamps: defaultdict[tuple[str, PosTag], int] = defaultdict(int)
+        self.weights: defaultdict[str, dict[int, float]] = defaultdict(dict)
+        self._totals: defaultdict[tuple[str, int], float] = defaultdict(float)
+        self._stamps: defaultdict[tuple[str, int], int] = defaultdict(int)
         self.instances = 0
 
-    def update(self, truth: PosTag, guess: PosTag, feats: Sequence[str]) -> None:
+    def update(self, truth: int, guess: int, feats: Sequence[str]) -> None:
         self.instances += 1
         if truth == guess:
             return
@@ -100,15 +100,15 @@ class _AveragedWeights:
             self._bump(f, truth, +1.0)
             self._bump(f, guess, -1.0)
 
-    def _bump(self, f: str, t: PosTag, delta: float) -> None:
+    def _bump(self, f: str, t: int, delta: float) -> None:
         key = (f, t)
         w = self.weights[f].get(t, 0.0)
         self._totals[key] += (self.instances - self._stamps[key]) * w
         self._stamps[key] = self.instances
         self.weights[f][t] = w + delta
 
-    def averaged(self) -> dict[str, dict[PosTag, float]]:
-        out: dict[str, dict[PosTag, float]] = {}
+    def averaged(self) -> dict[str, dict[int, float]]:
+        out: dict[str, dict[int, float]] = {}
         for f, tags in self.weights.items():
             row = {}
             for t, w in tags.items():
@@ -162,13 +162,9 @@ def train(
                     continue
                 feats = _features(norms, surfaces, i, prev_tag)
                 guess = _predict(weights.weights, feats)
-                weights.update(truth, guess, feats)
-                prev_tag = guess.value
-    return TaggerModel(
-        feature_weights=weights.averaged(),
-        tag_prior=prior,
-        iterations_trained=epochs,
-    )
+                weights.update(_TAGS.index(truth), guess, feats)
+                prev_tag = _TAGS[guess].value
+    return TaggerModel(weights.averaged(), prior, epochs)
 
 
 def save_model(model: TaggerModel, path: str | Path) -> None:
@@ -177,38 +173,41 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
         fh.write(f"{MODEL_MAGIC}\t{model.iterations_trained}\n")
         for norm in sorted(model.tag_prior):
             fh.write(f"P\t{norm}\t{model.tag_prior[norm].value}\n")
-        for feature in sorted(model.feature_weights):
-            row = model.feature_weights[feature]
-            for t in sorted(row, key=lambda t: t.value):
-                fh.write(f"W\t{feature}\t{t.value}\t{row[t]!r}\n")
+        for feature, row in sorted(model.feature_weights.items()):
+            for name, i in sorted((_TAGS[i].value, i) for i in row):
+                fh.write(f"W\t{feature}\t{name}\t{row[i]!r}\n")
 
 
 def load_model(path: str | Path) -> TaggerModel:
-    path = Path(path)
+    """Read a model file; a bad epoch count or row raises ValueError naming its line."""
+    prior: dict[str, PosTag] = {}
+    weights: dict[str, dict[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2 or header[0] != MODEL_MAGIC:
             raise ValueError(f"{path}: not a {MODEL_MAGIC} model file")
-        try:
-            iterations = int(header[1])
-        except ValueError:
-            raise ValueError(f"{path}: bad iteration count {header[1]!r}") from None
-        prior: dict[str, PosTag] = {}
-        weights: dict[str, dict[PosTag, float]] = {}
+        if not header[1].isdecimal():
+            raise ValueError(f"{path}: line 1: bad iteration count {header[1]!r}")
         for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            kind = fields[0] if fields else ""
-            if kind == "P" and len(fields) == 3:
-                prior[fields[1]] = PosTag.parse(fields[2])
-            elif kind == "W" and len(fields) == 4:
-                weights.setdefault(fields[1], {})[PosTag.parse(fields[2])] = float(
-                    fields[3]
-                )
-            else:
-                raise ValueError(f"{path}: line {lineno}: malformed model row")
-    return TaggerModel(
-        feature_weights=weights, tag_prior=prior, iterations_trained=iterations
-    )
+            kind, *fields = line.rstrip("\n").split("\t")
+            try:
+                if (kind, len(fields)) not in (("P", 2), ("W", 3)):
+                    raise ValueError("malformed model row")
+                key, i = fields[0], _TAGS.index(PosTag.parse(fields[1]))
+                if kind == "P":
+                    if key in prior:
+                        raise ValueError(f"repeated P row for {key!r}")
+                    prior[key] = _TAGS[i]
+                    continue
+                row = weights.setdefault(key, {})
+                if i in row:
+                    raise ValueError(f"repeated W row for {key!r} and {fields[1]}")
+                row[i] = float(fields[2])
+                if not math.isfinite(row[i]):
+                    raise ValueError(f"weight must be finite, got {fields[2]!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return TaggerModel(weights, prior, int(header[1]))
 
 
 def load_tagged(path: str | Path) -> list[TaggedSentence]:

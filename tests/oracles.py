@@ -2,16 +2,21 @@
 
 Everything here is deliberately written with different algorithms and data
 structures than the package: BLEU by direct fraction arithmetic, METEOR by
-an exhaustive alignment DP, statistics via scipy, and the stemmer against
+an exhaustive alignment DP, statistics via scipy, the tagger's argmax over
+PosTag-keyed weights with a tuple tie-break, and the stemmer against
 published example vectors.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
+from typing import Mapping, Sequence
 
 import scipy.stats
+
+from posscore.core import PosTag
 
 BLEU_EPS = 1e-9
 
@@ -111,6 +116,22 @@ def scipy_kendall_tau(x: list[float], y: list[float]) -> float:
 def scipy_t_sf2(t: float, df: int) -> float:
     """Two-sided t tail probability from scipy."""
     return float(2.0 * scipy.stats.t.sf(abs(t), df))
+
+
+_TAG_ORDER = {tag: i for i, tag in enumerate(PosTag)}
+
+
+def enum_predict(weights: Mapping[str, Mapping[PosTag, float]], feats: Sequence[str]) -> PosTag:
+    """The perceptron's argmax over PosTag-keyed weights, with the tie broken
+    by a (score, -tag order) key. The tagger's index-keyed `_predict` must
+    pick the same tag.
+    """
+    scores: defaultdict[PosTag, float] = defaultdict(float)
+    for f in feats:
+        for t, w in weights.get(f, {}).items():
+            scores[t] += w
+    # ties broken by the fixed tag-alphabet order
+    return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
 
 
 # Published example vectors for the 1980 suffix-stripping algorithm,

@@ -481,6 +481,26 @@ class TestTag:
         assert not out.exists()
         assert f"{out}: sentence 6 is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("W\tw=zzz\tNOUN\tnan", "weight must be finite, got 'nan'"),
+         ("P\tzzz\tFOO", "unknown POS tag 'FOO'")],
+        ids=["nan-weight", "unknown-tag"],
+    )
+    def test_bad_model_row_exits_2(self, cli_workspace, tagger_model, tmp_path, capsys,
+                                   row, problem):
+        # a NaN weight once loaded and tagging exited 0; an unknown tag named
+        # neither the file nor the line
+        lines = tagger_model.read_text().splitlines()
+        model = tmp_path / "bad.tsv"
+        model.write_text("\n".join(lines + [row]) + "\n")
+        out = tmp_path / "tags.tsv"
+        rc = run("tag", "--corpus", str(cli_workspace / "corpus.jsonl"),
+                 "--tagger-model", str(model), "--out", str(out))
+        assert rc == 2
+        assert not out.exists()
+        assert f"error: {model}: line {len(lines) + 1}: {problem}" in capsys.readouterr().err
+
     def test_apply_requires_model(self, cli_workspace, tmp_path, capsys):
         rc = run(
             "tag",
@@ -507,6 +527,18 @@ class TestConvert:
         assert all(l["id"].startswith("usr-") for l in lines)
         for l in lines:
             assert l["candidates"][0]["human"] > l["candidates"][1]["human"]
+
+    def test_usr_mean_past_the_float_sum(self, tmp_path):
+        # the plain sum of [1e308, 1e308] is inf; its mean is not
+        src = tmp_path / "usr.json"
+        src.write_text(json.dumps([{"reference": "r", "responses": [
+            {"text": "a", "quality": [3]},
+            {"text": "b", "quality": [1e308, 1e308]},
+        ]}]))
+        out = tmp_path / "out.jsonl"
+        assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
+        [line] = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [c["human"] for c in line["candidates"]] == [1e308, 3.0]
 
     def test_forum(self, cli_workspace, tmp_path):
         out = tmp_path / "forum.jsonl"
@@ -555,10 +587,12 @@ class TestConvert:
                 {"text": "ref", "is_reference": True},
                 {"text": "a", "quality": [3], "is_reference": "false"},
             ]}], "item 0: responses[1]: 'is_reference' must be true or false"),
-            # the mean of two finite scores once overflowed to "human": Infinity
+            # the mean of two finite scores once overflowed to "human": Infinity;
+            # [1e308, 1e308] now averages to 1e308, but three copies of the
+            # largest float still round past it when divided before summing
             ("usr", [{"reference": "r", "responses": [
                 {"text": "a", "quality": [3]},
-                {"text": "b", "quality": [1e308, 1e308]},
+                {"text": "b", "quality": [1.7976931348623157e308] * 3},
             ]}], "item 0: responses[1]: mean quality: expected a finite number, got inf"),
             # a null reference was once written to the corpus as the text "None"
             ("usr", [{"reference": None, "responses": [
@@ -960,6 +994,25 @@ class TestEmbeddingLoad:
         assert rc == 2
         assert not out.exists()
         assert "bad.vec: line 4: non-finite value in 'sat'" in capsys.readouterr().err
+
+    def test_overflowing_row_exits_2(self, cli_workspace, tmp_path, capsys):
+        # `ea` once read 1.0 for cat against dog here, where the rows
+        # scaled to 1 give 0.7071
+        vec = tmp_path / "big.vec"
+        vec.write_text("3 2\ncat 1e300 0\ndog 1e300 1e300\ncow 0 1e300\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--embeddings", str(vec),
+            "--metrics", "ea",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert "big.vec: line 2: squared norm past the float range in 'cat'" in (
+            capsys.readouterr().err
+        )
 
     def test_tag_source_errors_before_vec(self, tmp_path, capsys):
         corpus = tmp_path / "mini.jsonl"

@@ -96,6 +96,26 @@ class TestLoadVec:
         with pytest.raises(ValueError, match="line 1"):
             load_vec(p)
 
+    def test_squared_norm_past_float_range_names_line(self, tmp_path):
+        # every value is finite, but cosine could not square them
+        p = tmp_path / "t.vec"
+        p.write_text("2 2\na 1e154 1e153\nb 1e200 0\n")
+        with pytest.raises(ValueError, match=r"line 3: squared norm past the float range in 'b'"):
+            load_vec(p)
+        assert load_vec(p, vocab_filter={"a"}).get("a")[0] == 1e154
+
+
+class TestFromDict:
+    @pytest.mark.parametrize(
+        "row, problem",
+        [([math.nan, 0.0], "non-finite value"), ([0.0, -math.inf], "non-finite value"),
+         ([1e300, 0.0], "squared norm past the float range")],
+        ids=["nan", "inf", "squared-norm"],
+    )
+    def test_rejects_what_load_vec_rejects(self, row, problem):
+        with pytest.raises(ValueError, match=f"{problem} in 'cat'"):
+            EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": row})
+
 
 class TestAverageEmbedding:
     @pytest.fixture
@@ -174,6 +194,18 @@ class TestCosine:
             assert cosine(u, v) == cosine(v, u)
             assert -1.0 <= cosine(u, v) <= 1.0
             assert cosine(u, u) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([1e300, 0.0], [1e300, 1e300]), ([1.0, 1.0], [1e300, 0.0]),
+         ([math.nan, 0.0], [1.0, 0.0])],
+        ids=["both-huge", "one-huge", "nan"],
+    )
+    def test_values_past_float_range_raise(self, u, v):
+        # clamping once turned the NaN of an overflowed norm into 1.0; the
+        # first pair scaled to 1 has cosine 0.7071
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="float range"):
+            cosine(self.vec(u), self.vec(v))
 
     def test_scale_invariance(self):
         base = EmbeddingTable.from_dict({"a": [0.3, 0.4], "b": [0.5, 0.1]})

@@ -168,6 +168,17 @@ class TestBuildUsrSets:
         ctx = ((), "ref", [resp("r0", 3)])
         assert build_usr_sets([ctx]) == []
 
+    def test_final_score_survives_a_sum_past_the_float_range(self):
+        assert resp("r", 1e308, 1e308).final_score == 1e308
+        assert resp("r", -1e308, -1e308, -1e308).final_score == -1e308
+
+    def test_final_score_keeps_the_plain_mean_bits(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            scores = [rng.choice([rng.uniform(-5, 5), rng.randint(1, 5)])
+                      for _ in range(rng.randint(1, 7))]
+            assert resp("r", *scores).final_score == sum(scores) / len(scores)
+
     def test_final_score_is_mean(self):
         ctx = ((), "ref", [resp("r0", 1, 2, 3), resp("r1", 5, 5, 5)])
         (ev,) = build_usr_sets([ctx])
@@ -386,7 +397,9 @@ class TestLoadUsrJson:
              % ("3" * 5000), "line 3: malformed JSON (Exceeds the limit"),
             (usr_file({"responses": [{"text": "r1", "quality": [3], "is_reference": 0}]}),
              "item 1: responses[0]: 'is_reference' must be true or false, got 0"),
-            (usr_file({"responses": [{"text": "r1", "quality": [1e308, 1e308]}]}),
+            # [1e308, 1e308] averages to 1e308; three copies of the largest float
+            # still round past it when divided by 3 before they are summed
+            (usr_file({"responses": [{"text": "r1", "quality": [1.7976931348623157e308] * 3}]}),
              "item 1: responses[0]: mean quality: expected a finite number, got inf"),
             (usr_file({"reference": None}), "item 1: 'reference' must be a string, got None"),
             (usr_file({"responses": [{"text": ["r1"], "quality": [3]}]}),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from posscore.core import PosTag, TaggedSentence, tokenize
 from posscore.postag import (
     MODEL_MAGIC,
     TaggerModel,
+    _predict,
     load_model,
     load_tagged,
     remap_aux_to_verb,
@@ -16,6 +18,9 @@ from posscore.postag import (
 )
 
 from conftest import random_tagged_sentence
+from oracles import enum_predict
+
+TAGS = list(PosTag)
 
 NOUNS = ["cat", "dog", "bird", "fish"]
 VERBS = ["chases", "sees", "likes"]
@@ -103,7 +108,7 @@ class TestTag:
 
     def test_prior_short_circuit(self):
         model = TaggerModel(
-            feature_weights={"w=rock": {PosTag.VERB: 5.0}},
+            feature_weights={"w=rock": {TAGS.index(PosTag.VERB): 5.0}},
             tag_prior={"rock": PosTag.NOUN},
             iterations_trained=1,
         )
@@ -124,6 +129,38 @@ class TestTag:
         model = TaggerModel(feature_weights={}, tag_prior={}, iterations_trained=0)
         out = tag(model, tokenize("anything"))
         assert out.tags == (next(iter(PosTag)),)
+
+    def test_predict_matches_enum_keyed_oracle(self):
+        rng = random.Random(31)
+        features = [f"f{k}" for k in range(10)]
+        grids = {
+            # few distinct values: many exact ties
+            "ties": [-1.0, -0.5, 0.5, 1.0],
+            # sums such as 0.1 + 0.2 differ from 0.3 in the last bit, so a
+            # different summation order would flip near-ties
+            "rounding": [0.1, 0.2, 0.3, -0.1, -0.2, -0.3],
+            # only negative weights: a tag absent from every row scores 0 and wins
+            "negative": [-2.0, -1.0, -0.25],
+        }
+        seen = {"tie": 0, "absent-wins": 0, "no-feats": 0, "unseen-only": 0}
+        for trial in range(3000):
+            grid = list(grids.values())[trial % 3]
+            table = {}
+            for f in features[:7]:  # f7..f9 are never in the table
+                tags = rng.sample(TAGS, rng.randint(0, 6))  # 0 gives an empty row
+                table[f] = {t: rng.choice(grid) for t in tags}
+            feats = [rng.choice(features) for _ in range(rng.randint(0, 8))]
+            want = enum_predict(table, feats)
+            got = _predict({f: {TAGS.index(t): w for t, w in row.items()}
+                            for f, row in table.items()}, feats)
+            assert TAGS[got] is want, (table, feats)
+            scores = {t: sum(table.get(f, {}).get(t, 0.0) for f in feats) for t in TAGS}
+            seen["tie"] += list(scores.values()).count(scores[want]) > 1
+            seen["absent-wins"] += all(want not in table.get(f, {}) for f in feats) and any(
+                table.get(f) for f in feats)
+            seen["no-feats"] += not feats
+            seen["unseen-only"] += bool(feats) and all(f not in table for f in feats)
+        assert min(seen.values()) >= 20, seen
 
     def test_ambiguous_word_split_by_context(self):
         model = train(synth_corpus(80, seed=9), epochs=5)
@@ -153,6 +190,15 @@ class TestModelSerialization:
             tokens = list(sent.tokens)
             assert tag(model, tokens) == tag(loaded, tokens)
 
+    def test_saved_model_bytes_are_pinned(self, tmp_path):
+        # taken when weights were keyed by PosTag members; keying them by
+        # tag index must write the same file
+        p = tmp_path / "model.tsv"
+        save_model(train(synth_corpus(30, seed=7), epochs=2), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "a66b8fc01f02a81777a7c85b3fcd2816a3103842a139911a7c82198422df693e"
+        )
+
     def test_save_is_byte_deterministic(self, tmp_path):
         model = train(synth_corpus(20, seed=4), epochs=2)
         p1, p2 = tmp_path / "m1.tsv", tmp_path / "m2.tsv"
@@ -171,6 +217,34 @@ class TestModelSerialization:
         p.write_text(f"{MODEL_MAGIC}\t1\nW\tw=x\tNOUN\n")
         with pytest.raises(ValueError, match="line 2"):
             load_model(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{MODEL_MAGIC}\t-2\n", "line 1: bad iteration count '-2'"),
+            (f"{MODEL_MAGIC}\t1\nW\tw=x\tNOUN\t1.0\nW\tw=x\tVERB\tnan\n",
+             "line 3: weight must be finite, got 'nan'"),
+            (f"{MODEL_MAGIC}\t1\nW\tw=x\tVERB\t-1e400\n",
+             "line 2: weight must be finite, got '-1e400'"),
+            (f"{MODEL_MAGIC}\t1\nW\tw=x\tVERB\tone\n",
+             "line 2: could not convert string to float: 'one'"),
+            (f"{MODEL_MAGIC}\t1\nP\tthe\tDET\nW\tw=x\tFOO\t1.0\n",
+             "line 3: unknown POS tag 'FOO'"),
+            (f"{MODEL_MAGIC}\t1\nP\tthe\tdet\n", "line 2: unknown POS tag 'det'"),
+            (f"{MODEL_MAGIC}\t1\nW\tw=x\tNOUN\t1.0\nW\tw=x\tVERB\t2.0\n"
+             "W\tw=x\tNOUN\t3.0\n", "line 4: repeated W row for 'w=x' and NOUN"),
+            (f"{MODEL_MAGIC}\t1\nP\tthe\tDET\nP\tthe\tDET\n",
+             "line 3: repeated P row for 'the'"),
+        ],
+        ids=["negative-epochs", "nan-weight", "infinite-weight", "non-numeric-weight",
+             "unknown-weight-tag", "unknown-prior-tag", "repeated-weight", "repeated-prior"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, text, message):
+        p = tmp_path / "model.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_model(p)
+        assert str(info.value) == f"{p}: {message}"
 
 
 class TestTaggedFiles:
