@@ -61,15 +61,14 @@ class PreparedTokens:
     The average is kept for the last table it was asked for.
     """
 
-    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_table", "_average")
+    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_average")
 
     def __init__(self, tokens: Iterable[Token], stems: dict[str, str] | None = None) -> None:
         self.tokens = tuple(tokens)
         self.norms = [t.norm for t in self.tokens]
         self._stem_dict = {} if stems is None else stems
         self._stems: list[str] | None = None
-        self._table: EmbeddingTable | None = None
-        self._average: SentenceVector | None = None
+        self._average: tuple[EmbeddingTable, SentenceVector] | None = None
 
     @property
     def stems(self) -> list[str]:
@@ -82,10 +81,9 @@ class PreparedTokens:
         return self._stems
 
     def average(self, table: EmbeddingTable) -> SentenceVector:
-        if self._average is None or self._table is not table:
-            self._average = average_embedding(self.tokens, table)
-            self._table = table
-        return self._average
+        if self._average is None or self._average[0] is not table:
+            self._average = (table, average_embedding(self.tokens, table))
+        return self._average[1]
 
 
 Tokens = Sequence[Token] | PreparedTokens
@@ -96,7 +94,7 @@ def _prepared(tokens: Tokens) -> PreparedTokens:
 
 
 def _ngram_counts(norms: Sequence[str], k: int) -> Counter:
-    return Counter(tuple(norms[i : i + k]) for i in range(len(norms) - k + 1))
+    return Counter(zip(*(norms[i:] for i in range(k))))
 
 
 def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
@@ -110,20 +108,15 @@ def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
     cand = _prepared(candidate).norms
     if not cand:
         return MetricScore(metric_id, 0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(len(ref))})
-    details: dict[str, float] = {
-        "ref_len": float(len(ref)),
-        "cand_len": float(len(cand)),
-    }
+    details = {"ref_len": float(len(ref)), "cand_len": float(len(cand))}
     log_sum = 0.0
     for k in range(1, n + 1):
         cand_counts = _ngram_counts(cand, k)
         ref_counts = _ngram_counts(ref, k)
-        total = max(len(cand) - k + 1, 0)
-        clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-        if total > 0:
-            p_k = max(float(clipped), BLEU_EPSILON) / total
-        else:
-            p_k = BLEU_EPSILON
+        shared = cand_counts.keys() & ref_counts.keys()  # the others clip to 0
+        clipped = sum(min(cand_counts[g], ref_counts[g]) for g in shared)
+        total = len(cand) - k + 1
+        p_k = max(float(clipped), BLEU_EPSILON) / total if total > 0 else BLEU_EPSILON
         details[f"p{k}"] = p_k
         log_sum += math.log(p_k) / n
     bp = min(1.0, math.exp(1.0 - len(ref) / len(cand)))
@@ -156,9 +149,7 @@ class SynonymLexicon:
                     continue
                 fields = line.split("\t")
                 if len(fields) != 2 or not fields[0] or not fields[1]:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected 'lemma<TAB>synonym'"
-                    )
+                    raise ValueError(f"{path}: line {lineno}: expected 'lemma<TAB>synonym'")
                 pairs.append((fields[0], fields[1]))
         return cls(pairs)
 
@@ -300,9 +291,7 @@ def _longest_runs(
     return match_of_ref
 
 
-def _min_chunk_alignment(
-    adj: Sequence[Sequence[int]], n_ref: int
-) -> tuple[int, int, bool]:
+def _min_chunk_alignment(adj: Sequence[Sequence[int]], n_ref: int) -> tuple[int, int, bool]:
     """(matches, chunks, exact) for a maximum-cardinality, fewest-chunk alignment.
 
     exact means the chunk count is proven optimal. Every step inside a chunk
@@ -385,17 +374,13 @@ def meteor(
     """
     ref = _prepared(reference)
     cand = _prepared(candidate)
-    if not ref.norms or not cand.norms:
-        return MetricScore("meteor", 0.0, {"matches": 0.0, "chunks": 0.0})
     adj = _match_edges(cand, ref, synonyms)
     matches, chunks, exact = _min_chunk_alignment(adj, len(ref.norms))
-    if matches == 0:
+    if matches == 0:  # also when either side is empty
         return MetricScore("meteor", 0.0, {"matches": 0.0, "chunks": 0.0})
     precision = matches / len(cand.norms)
     recall = matches / len(ref.norms)
-    f_mean = (precision * recall) / (
-        METEOR_ALPHA * precision + (1.0 - METEOR_ALPHA) * recall
-    )
+    f_mean = (precision * recall) / (METEOR_ALPHA * precision + (1.0 - METEOR_ALPHA) * recall)
     penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA
     details = {
         "matches": float(matches),
@@ -409,9 +394,7 @@ def meteor(
     return MetricScore("meteor", f_mean * (1.0 - penalty), details)
 
 
-def embedding_average(
-    reference: Tokens, candidate: Tokens, table: EmbeddingTable
-) -> MetricScore:
+def embedding_average(reference: Tokens, candidate: Tokens, table: EmbeddingTable) -> MetricScore:
     """Cosine between the average embeddings of the two token sequences."""
     u = _prepared(reference).average(table)
     v = _prepared(candidate).average(table)

@@ -21,40 +21,53 @@ from .core import Token
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable norm-token → vector map. OOV tokens are skipped on lookup."""
+    """Immutable norm-token → vector map: norm's vector is row index[norm] of
+    one read-only (V, dim) float64 matrix. OOV tokens are skipped on lookup."""
 
-    dim: int
-    vectors: Mapping[str, np.ndarray]
+    index: Mapping[str, int]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("embedding dimension must be >= 1")
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.index) or not self.dim:
+            raise ValueError(f"need {len(self.index)} rows of dim >= 1, got {self.matrix.shape}")
+        self.matrix.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __contains__(self, norm: str) -> bool:
-        return norm in self.vectors
+        return norm in self.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
     def get(self, norm: str) -> np.ndarray | None:
-        return self.vectors.get(norm)
+        """A read-only view of the row of norm; None when it is out of vocabulary."""
+        row = self.index.get(norm)
+        return None if row is None else self.matrix[row]
 
     @classmethod
     def from_dict(cls, vectors: Mapping[str, Iterable[float]]) -> "EmbeddingTable":
         """Build a small table from plain python data; used by tests and demos.
-        Rows are checked as `load_vec` checks them.
+        Each row must be a non-empty flat list of numbers, and is checked as
+        `load_vec` checks its rows.
         """
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
-        dims = {a.shape for a in arrays.values()}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent vector lengths: {sorted(dims)}")
-        dim = next(iter(dims))[0] if arrays else 1
-        for k, a in arrays.items():
-            problem = _row_problem(a)
+        rows = []
+        for word, values in vectors.items():
+            try:
+                row = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError):
+                row = np.empty(0)
+            flat = row.ndim == 1 and row.size
+            problem = _row_problem(row) if flat else "not a non-empty flat list of numbers"
             if problem:
-                raise ValueError(f"{problem} in {k!r}")
-            a.setflags(write=False)
-        return cls(dim=dim, vectors=arrays)
+                raise ValueError(f"{problem} in {word!r}")
+            rows.append(row)
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError(f"inconsistent vector lengths: {sorted({len(row) for row in rows})}")
+        matrix = np.array(rows) if rows else np.zeros((0, 1))
+        return cls({word: i for i, word in enumerate(vectors)}, matrix)
 
 
 def _row_problem(vec: np.ndarray) -> str | None:
@@ -88,15 +101,15 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     parsed. Every row's value count is still checked against the header
     dimension: a mismatch, or in a kept row a non-numeric or non-finite
     value or a squared norm past the float range, raises ValueError naming
-    the line.
+    the line. Kept rows go straight into a matrix of one row per
+    `vocab_filter` word (without one, it doubles when full), cut at the end.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    vectors: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}
     with opener(path, "rb") as raw:
         text = io.TextIOWrapper(raw, encoding="utf-8")
-        header = text.readline()
-        parts = header.split()
+        parts = text.readline().split()
         if len(parts) != 2:
             raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
         try:
@@ -105,6 +118,7 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             raise ValueError(f"{path}: line 1: non-integer dimension {parts[1]!r}") from None
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
+        matrix = np.empty((1024 if vocab_filter is None else len(vocab_filter), dim))
         for lineno, line in enumerate(text, start=2):
             if line.isspace():
                 continue
@@ -115,40 +129,44 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
                 raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
             cut = line.find(" ")
             token = line[:cut].casefold()
-            if vocab_filter is not None and token not in vocab_filter:
-                continue
-            if token in vectors:
+            if (vocab_filter is not None and token not in vocab_filter) or token in index:
                 continue
             fields = line[cut + 1 :].rstrip("\n").split(" ", dim)[:dim]
+            row = len(index)
+            if row == len(matrix):  # only without vocab_filter; no view of matrix is alive
+                matrix.resize((2 * row, dim), refcheck=False)
             try:
-                vec = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
+                matrix[row] = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            problem = _row_problem(vec)
+            problem = _row_problem(matrix[row])
             if problem:
                 raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
-            vec.setflags(write=False)
-            vectors[token] = vec
-    return EmbeddingTable(dim=dim, vectors=vectors)
+            index[token] = row
+    matrix.resize((len(index), dim), refcheck=False)
+    return EmbeddingTable(index, matrix)
 
 
 def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> SentenceVector:
     """Arithmetic mean of in-vocabulary token vectors; OOV tokens are skipped.
 
-    The sum is grouped by distinct norm (first-occurrence order) with integer
-    counts, so duplicating the whole sequence scales every intermediate by an
-    exact power of two and the result is bit-for-bit unchanged.
+    The rows of the distinct norms, in first-occurrence order, are scaled by
+    their integer counts and summed in that order from +0.0, so duplicating
+    the whole sequence scales every intermediate by an exact power of two
+    and the result is bit-for-bit unchanged.
     """
-    counts: dict[str, int] = {}
+    counts: dict[int, int] = {}
     for tok in tokens:
-        if tok.norm in table:
-            counts[tok.norm] = counts.get(tok.norm, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
+        if (row := table.index.get(tok.norm)) is not None:
+            counts[row] = counts.get(row, 0) + 1
+    if not counts:
         return SentenceVector(values=np.zeros(table.dim, dtype=np.float64), support=0)
-    acc = np.zeros(table.dim, dtype=np.float64)
-    for norm, count in counts.items():
-        acc += count * table.vectors[norm]
+    total = sum(counts.values())
+    rows = table.matrix.take(list(counts), axis=0)
+    rows *= np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[:, None]
+    acc = np.add.reduce(rows, axis=0, initial=0.0)
+    if table.dim == 1:  # reduce sums a lone column pairwise; accumulate keeps the order,
+        acc = np.add.accumulate(rows)[-1] + 0.0  # and + 0.0 turns a -0.0 total into +0.0
     acc /= total
     acc.setflags(write=False)
     return SentenceVector(values=acc, support=total)
@@ -159,17 +177,15 @@ def cosine(u: SentenceVector, v: SentenceVector) -> float:
     Values whose norms or dot product leave the float range raise ValueError.
     """
     if u.values.shape != v.values.shape:
-        raise ValueError(
-            f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}"
-        )
+        raise ValueError(f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}")
     if u.support == 0 or v.support == 0:
         return 0.0
-    nu = float(np.linalg.norm(u.values))
-    nv = float(np.linalg.norm(v.values))
+    nu = math.sqrt(u.values @ u.values)  # as np.linalg.norm computes it
+    nv = math.sqrt(v.values @ v.values)
     if nu < 1e-12 or nv < 1e-12:
         return 0.0
     denominator = nu * nv
-    value = float(np.dot(u.values, v.values)) / denominator
+    value = float(u.values @ v.values) / denominator
     if not (math.isfinite(denominator) and math.isfinite(value)):
         raise ValueError("cosine: vector values leave the float range")
     return max(-1.0, min(1.0, value))

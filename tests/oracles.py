@@ -3,8 +3,8 @@
 Everything here is deliberately written with different algorithms and data
 structures than the package: BLEU by direct fraction arithmetic, METEOR by
 an exhaustive alignment DP, statistics via scipy, the tagger's argmax over
-PosTag-keyed weights with a tuple tie-break, and the stemmer against
-published example vectors.
+PosTag-keyed weights with a tuple tie-break, the embedding average as a loop
+over a dict of rows, and the stemmer against published example vectors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
 import scipy.stats
 
 from posscore.core import PosTag
@@ -41,6 +42,23 @@ def brute_bleu(ref: list[str], cand: list[str], n: int) -> float:
         prod *= max(clipped, BLEU_EPS) / len(cand_grams)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(cand))) if cand else 0.0
     return bp * prod ** (1.0 / n)
+
+
+def sequential_average(norms: Sequence[str], rows: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
+    """Mean of the rows of the in-vocabulary norms, one `acc += count * row`
+    per distinct norm in first-occurrence order, starting from +0.0.
+    """
+    counts: dict[str, int] = {}
+    for norm in norms:
+        if norm in rows:
+            counts[norm] = counts.get(norm, 0) + 1
+    acc = np.zeros(dim, dtype=np.float64)
+    if not counts:
+        return acc
+    for norm, count in counts.items():
+        acc += count * rows[norm]
+    acc /= sum(counts.values())
+    return acc
 
 
 def brute_meteor(

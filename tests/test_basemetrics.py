@@ -67,6 +67,27 @@ class TestBleu:
                 want = brute_bleu(ref, cand, n)
                 assert got == pytest.approx(want, abs=1e-9), (ref, cand, n)
 
+    def test_matches_brute_force_on_long_inputs(self):
+        # 100-250 tokens over a small vocabulary, and candidates that copy
+        # stretches of the reference, so every order has repeated k-grams
+        # whose clipped counts exceed 1
+        rng = random.Random(78)
+        vocab = [f"w{i}" for i in range(8)]
+        for _ in range(25):
+            ref = [rng.choice(vocab) for _ in range(rng.randint(100, 250))]
+            target = rng.randint(100, 250)
+            cand = []
+            while len(cand) < target:
+                if rng.random() < 0.6:
+                    start = rng.randrange(len(ref))
+                    cand += ref[start : start + rng.randint(1, 12)]
+                else:
+                    cand.append(rng.choice(vocab))
+            for n in (1, 2, 3, 4):
+                got = bleu_n([Token(w) for w in ref], [Token(w) for w in cand], n).value
+                want = brute_bleu(ref, cand, n)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, len(ref), len(cand))
+
 
 class TestMeteor:
     def test_identity_three_words(self):

@@ -1,6 +1,7 @@
 import gzip
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from posscore.embed import (
     cosine,
     load_vec,
 )
+
+from oracles import sequential_average
 
 
 def toks(*words):
@@ -104,6 +107,56 @@ class TestLoadVec:
             load_vec(p)
         assert load_vec(p, vocab_filter={"a"}).get("a")[0] == 1e154
 
+    def test_rows_are_read_only_views_of_one_matrix(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("3 2\na 1.0 0.0\nb 0.0 1.0\nc 0.5 0.5\n")
+        table = load_vec(p, vocab_filter={"c", "a", "z"})
+        assert table.matrix.shape == (2, 2) and table.index == {"a": 0, "c": 1}
+        row = table.get("c")
+        assert np.shares_memory(row, table.matrix) and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 9.0
+
+    def test_unfiltered_load_grows_past_its_first_capacity(self, tmp_path):
+        # 2,500 rows, more than the 1,024 the matrix starts with, plus one
+        # casefold collision whose first row must win
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(2500, 3)).round(6)
+        p = tmp_path / "t.vec"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write("2501 3\n")
+            for i, row in enumerate(values):
+                fh.write(f"w{i} " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write("W7 9.0 9.0 9.0\n")
+        table = load_vec(p)
+        assert len(table) == 2500 and table.matrix.shape == (2500, 3)
+        assert table.index == {f"w{i}": i for i in range(2500)}
+        assert table.matrix.tobytes() == values.tobytes()
+        assert not table.matrix.flags.writeable
+
+    def test_filtered_load_holds_the_rows_once(self, tmp_path):
+        # every filtered word has a row, so the table is 2,000 x 128 x 8
+        # bytes; a loader that builds one array per row and stacks them at
+        # the end peaks above twice that
+        words = [f"word{i}" for i in range(2000)]
+        dim = 128
+        rng = np.random.default_rng(22)
+        p = tmp_path / "t.vec"
+        tokens = [t for i, w in enumerate(words) for t in ([w, f"filler{i}"] if i % 10 == 0 else [w])]
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(f"{len(tokens)} {dim}\n")
+            for token in tokens:
+                fh.write(token + " " + " ".join(f"{x:.4f}" for x in rng.normal(size=dim)) + "\n")
+        wanted = set(words)
+        tracemalloc.start()
+        try:
+            table = load_vec(p, vocab_filter=wanted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == len(wanted)
+        assert peak < 1.5 * len(wanted) * dim * 8
+
 
 class TestFromDict:
     @pytest.mark.parametrize(
@@ -115,6 +168,25 @@ class TestFromDict:
     def test_rejects_what_load_vec_rejects(self, row, problem):
         with pytest.raises(ValueError, match=f"{problem} in 'cat'"):
             EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": row})
+
+    @pytest.mark.parametrize(
+        "row",
+        [1.0, [[1.0, 2.0], [3.0, 4.0]], [], [[1.0], [2.0, 3.0]], "1.0 2.0", None],
+        ids=["scalar", "nested", "empty", "ragged", "text", "none"],
+    )
+    def test_rejects_a_row_that_is_not_a_flat_list_of_numbers(self, row):
+        # the first three once died with IndexError, TypeError and a
+        # message that named no word
+        with pytest.raises(ValueError, match="not a non-empty flat list of numbers in 'cat'"):
+            EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": row})
+
+    def test_inconsistent_lengths(self):
+        with pytest.raises(ValueError, match=r"inconsistent vector lengths: \[2, 3\]"):
+            EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": [1.0, 2.0, 3.0]})
+
+    def test_empty_dict(self):
+        table = EmbeddingTable.from_dict({})
+        assert len(table) == 0 and table.dim == 1 and table.get("a") is None
 
 
 class TestAverageEmbedding:
@@ -157,6 +229,31 @@ class TestAverageEmbedding:
             twice = average_embedding(seq + seq, table)
             assert once.values.tobytes() == twice.values.tobytes()
             assert twice.support == 2 * once.support
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17])
+    def test_matches_sequential_oracle_bit_for_bit(self, dim):
+        # magnitudes from 1e-6 to 1e6 make the sum depend on its order: a
+        # pairwise or BLAS sum differs in the last bits, and a sum that
+        # does not start from +0.0 keeps a column of -0.0 components negative
+        rng = random.Random(31 + dim)
+        npr = np.random.default_rng(31 + dim)
+        for _ in range(40):
+            words = [f"w{i}" for i in range(rng.randint(1, 40))]
+            rows = {}
+            for w in words:
+                row = npr.normal(size=dim) * 10.0 ** npr.uniform(-6, 6, size=dim)
+                row[npr.random(dim) < 0.3] = -0.0
+                rows[w] = -np.zeros(dim) if rng.random() < 0.1 else row
+            table = EmbeddingTable.from_dict(rows)
+            for _ in range(10):
+                pool = rng.sample(words, rng.randint(1, len(words))) + ["oov", "OOV2"]
+                norms = [rng.choice(pool) for _ in range(rng.choice([0, 1, 3, 30, 120]))]
+                got = average_embedding(toks(*norms), table)
+                want = sequential_average(norms, rows, dim)
+                assert got.values.tobytes() == want.tobytes(), norms
+                assert got.support == sum(n in rows for n in norms)
+                twice = average_embedding(toks(*norms, *norms), table)
+                assert twice.values.tobytes() == want.tobytes()
 
 
 class TestCosine:
