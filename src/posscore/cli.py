@@ -20,6 +20,8 @@ from .basemetrics import SynonymLexicon, load_external_scores
 # the benchmark's tests check that its instruments rebind these names here
 from .basemetrics import bleu_n, meteor  # noqa: F401
 from .core import (
+    DEFAULT_TAG_SET,
+    FULL_TAG_SET,
     TAG_DISPLAY_ORDER,
     EvaluationSet,
     TaggedSentence,
@@ -45,7 +47,7 @@ from .metaeval import (
     pos_distribution,
     predictive_power,
 )
-from .posmetrics import BASE_METRIC_IDS, Metric, Response, score_sets
+from .posmetrics import Metric, Response, score_sets
 from .postag import (
     load_model,
     load_tagged,
@@ -59,8 +61,6 @@ from .postag import (
 ENV_DATA_DIR = "POSSCORE_DATA_DIR"
 
 DEFAULT_METRICS = "bleu1,bleu2,bleu3,bleu4,meteor"
-DEFAULT_TAGSET_NAME = "adj+adv+verb+propn+noun"
-ANALYZE_TAGSET_NAME = "adj+adv+verb+propn+noun+pron"
 DEFAULT_GROUPS = "reference,good,bad"
 
 
@@ -96,13 +96,23 @@ def _on_off(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
 
 
-def _parse_tagset(name: str, flag: str = "--tagset") -> TagSet:
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {number}")
+    return number
+
+
+def _parse_tagset(name: str) -> TagSet:
     # raises ConfigError, which argparse passes through, so the message keeps
     # the flag name and TagSet.parse's reason
     try:
         return TagSet.parse(name)
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+        raise ConfigError(f"--tagset: {exc}") from None
 
 
 def _list(value: str) -> list[str]:
@@ -125,38 +135,14 @@ def _groups(value: str) -> list[str]:
     return groups
 
 
-def parse_metric_spec(spec: str, default_tagset: TagSet) -> Metric:
-    spec = spec.strip()
-    if spec in BASE_METRIC_IDS:
-        return Metric(spec)
-    parts = spec.split(":")
-    head = parts[0]
-    if head == "posscore":
-        if len(parts) == 1:
-            return Metric("posscore", tagset=default_tagset)
-        if len(parts) == 2:
-            return Metric("posscore", tagset=_parse_tagset(parts[1], "--metrics"))
-        raise ConfigError(f"--metrics: malformed metric id {spec!r}")
-    if head in ("pwe", "ptlc"):
-        if len(parts) not in (2, 3):
-            raise ConfigError(
-                f"--metrics: {head} needs the form {head}:<base>[:<tagset>], got {spec!r}"
-            )
-        base = parts[1]
-        if base not in BASE_METRIC_IDS:
-            raise ConfigError(
-                f"--metrics: unknown base metric {base!r}; expected one of {', '.join(BASE_METRIC_IDS)}"
-            )
-        tagset = _parse_tagset(parts[2], "--metrics") if len(parts) == 3 else default_tagset
-        return Metric(head, base=base, tagset=tagset)
-    raise ConfigError(f"--metrics: unknown metric id {spec!r}")
-
-
 def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric]:
     resolved = []
     seen = set()
     for spec in specs:
-        m = parse_metric_spec(spec, default_tagset)
+        try:
+            m = Metric.parse(spec, default_tagset)
+        except ValueError as exc:
+            raise ConfigError(f"--metrics: {exc}") from None
         if m.metric_id in seen:
             raise ConfigError(f"--metrics: duplicate metric id {m.metric_id!r}")
         seen.add(m.metric_id)
@@ -316,11 +302,8 @@ def _pick_baseline(
                 f"--baseline: metric {args.baseline!r} is not among the computed metrics"
             )
         return args.baseline
-    candidates = [
-        mid
-        for mid in run.metric_ids
-        if mid in BASE_METRIC_IDS or mid.startswith("ext:")
-    ]
+    # base metrics and external scores are the ids without a tag set
+    candidates = [mid for mid in run.metric_ids if not run.tagset_names[mid]]
     if not candidates:
         return None
     # highest power wins; ties resolve to the lexicographically first id
@@ -447,7 +430,7 @@ _FLAGS: dict[str, dict] = {
     "tags": {"type": _input_path, "help": "pre-tagged file, 3 sentences per set"},
     "tagger-model": {"type": _input_path, "help": "trained tagger model file"},
     "tagset": {
-        "type": _parse_tagset, "default": DEFAULT_TAGSET_NAME,
+        "type": _parse_tagset, "default": DEFAULT_TAG_SET.name,
         "help": "'+'-separated tags, e.g. adj+verb+noun (default %(default)s)",
     },
     "synonyms": {"type": _input_path, "help": "lemma<TAB>synonym lexicon for METEOR"},
@@ -476,10 +459,10 @@ _FLAGS: dict[str, dict] = {
     },
     "forum-json": {"type": _input_path, "help": "forum JSON for the vote curve"},
     "train": {"type": _input_path, "help": "tagged training file"},
-    "epochs": {"type": int, "default": 5, "help": "training epochs (default %(default)s)"},
+    "epochs": {"type": _positive_int, "default": 5, "help": "training epochs (default %(default)s)"},
     "format": {"choices": ["usr", "forum"], "help": "input format"},
     "input": {"type": _input_path, "help": "source JSON file"},
-    "sample": {"type": int, "help": "deterministic subsample size"},
+    "sample": {"type": _positive_int, "help": "deterministic subsample size"},
     "seed": {"type": int, "default": 0, "help": "seed for all sampling (default %(default)s)"},
     "out": {"type": Path, "help": "output path"},
     "config": {"type": _input_path, "help": "key=value config file; flags override it"},
@@ -533,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p = sub.add_parser(command, help=help_text)
         for name in flags:
             p.add_argument(f"--{name}", **_FLAGS[name])
-    sub.choices["analyze"].set_defaults(tagset=ANALYZE_TAGSET_NAME)
+    sub.choices["analyze"].set_defaults(tagset=FULL_TAG_SET.name)
     return parser, sub.choices
 
 

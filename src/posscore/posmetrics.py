@@ -39,18 +39,11 @@ class PosSplit:
     pos_words: tuple[Token, ...]
     pos_tags: tuple[PosTag, ...]
     non_pos_words: tuple[Token, ...]
-    total_len: int
-    pos_fraction: float
 
 
-def pos_split(
-    sentence: TaggedSentence, tags: TagSet, count_punct: bool = True
-) -> PosSplit:
+def pos_split(sentence: TaggedSentence, tags: TagSet) -> PosSplit:
     """Partition a tagged response into POS words (tag in tags) and the rest,
-    keeping order, and compute its POS-word fraction.
-
-    The fraction denominator is the full token count; with count_punct off,
-    PUNCT-tagged tokens are excluded from it.
+    keeping order.
     """
     pos_words: list[Token] = []
     pos_tags: list[PosTag] = []
@@ -61,18 +54,7 @@ def pos_split(
             pos_tags.append(tag)
         else:
             non_pos_words.append(token)
-    if count_punct:
-        total = len(sentence)
-    else:
-        total = sum(1 for _, tag in sentence if tag is not PosTag.PUNCT)
-    fraction = len(pos_words) / total if total > 0 else 0.0
-    return PosSplit(
-        pos_words=tuple(pos_words),
-        pos_tags=tuple(pos_tags),
-        non_pos_words=tuple(non_pos_words),
-        total_len=total,
-        pos_fraction=fraction,
-    )
+    return PosSplit(tuple(pos_words), tuple(pos_tags), tuple(non_pos_words))
 
 
 def pos_weight(n_ref: float, n_cand: float) -> float:
@@ -99,7 +81,6 @@ _TAG_TOKENS = {tag: Token(tag.value) for tag in PosTag}
 class PreparedSplit(NamedTuple):
     """A prepared sentence's POS split, with both sides as prepared tokens."""
 
-    split: PosSplit
     pos_words: PreparedTokens
     non_pos_words: PreparedTokens
     tag_tokens: tuple[Token, ...]
@@ -110,31 +91,27 @@ class PreparedSentence(PreparedTokens):
 
     Every public scorer accepts it wherever it takes tokens or a
     TaggedSentence. On top of the prepared tokens it keeps one `pos_split`
-    per (tag set, count_punct) asked for. Per tag set it also keeps the POS
-    words and the other words as prepared tokens that share the sentence's
-    stem dict, so their average embeddings are computed once.
+    per tag set asked for, with the POS words and the other words as
+    prepared tokens that share the sentence's stem dict, so their average
+    embeddings are computed once.
     """
 
-    __slots__ = ("tagged", "_splits", "_sides")
+    __slots__ = ("tagged", "_splits")
 
     def __init__(self, tagged: TaggedSentence, stems: dict[str, str] | None = None) -> None:
         super().__init__(tagged.tokens, stems)
         self.tagged = tagged
-        self._splits: dict[tuple[TagSet, bool], PreparedSplit] = {}
-        self._sides: dict[TagSet, tuple[PreparedTokens, PreparedTokens, tuple[Token, ...]]] = {}
+        self._splits: dict[TagSet, PreparedSplit] = {}
 
-    def split(self, tags: TagSet, count_punct: bool = True) -> PreparedSplit:
-        prepared = self._splits.get((tags, count_punct))
+    def split(self, tags: TagSet) -> PreparedSplit:
+        prepared = self._splits.get(tags)
         if prepared is None:
-            split = pos_split(self.tagged, tags, count_punct)
-            sides = self._sides.get(tags)
-            if sides is None:
-                sides = self._sides[tags] = (
-                    PreparedTokens(split.pos_words, self._stem_dict),
-                    PreparedTokens(split.non_pos_words, self._stem_dict),
-                    tuple(_TAG_TOKENS[t] for t in split.pos_tags),
-                )
-            prepared = self._splits[(tags, count_punct)] = PreparedSplit(split, *sides)
+            split = pos_split(self.tagged, tags)
+            prepared = self._splits[tags] = PreparedSplit(
+                PreparedTokens(split.pos_words, self._stem_dict),
+                PreparedTokens(split.non_pos_words, self._stem_dict),
+                tuple(_TAG_TOKENS[t] for t in split.pos_tags),
+            )
         return prepared
 
 
@@ -206,6 +183,17 @@ def ptlc(
     )
 
 
+def _pos_fraction(sentence: PreparedSentence, split: PreparedSplit, count_punct: bool) -> float:
+    """The POS-word fraction of a response; with count_punct off, PUNCT-tagged
+    tokens are left out of the denominator.
+    """
+    if count_punct:
+        total = len(sentence.tagged)
+    else:
+        total = sum(1 for tag in sentence.tagged.tags if tag is not PosTag.PUNCT)
+    return len(split.pos_words.tokens) / total if total > 0 else 0.0
+
+
 def posscore(
     reference: Sentence,
     candidate: Sentence,
@@ -218,9 +206,10 @@ def posscore(
     w depends only on the two POS-word fractions; the degenerate zero-fraction
     conventions are flagged in the details map.
     """
-    ref = _prepared(reference).split(tags, count_punct)
-    cand = _prepared(candidate).split(tags, count_punct)
-    n_ref, n_cand = ref.split.pos_fraction, cand.split.pos_fraction
+    reference, candidate = _prepared(reference), _prepared(candidate)
+    ref, cand = reference.split(tags), candidate.split(tags)
+    n_ref = _pos_fraction(reference, ref, count_punct)
+    n_cand = _pos_fraction(candidate, cand, count_punct)
     weight = pos_weight(n_ref, n_cand)
     s_pos = cosine(ref.pos_words.average(table), cand.pos_words.average(table))
     s_non_pos = cosine(ref.non_pos_words.average(table), cand.non_pos_words.average(table))
@@ -266,6 +255,31 @@ class Metric:
     family: str  # a key of SCORERS
     base: str | None = None
     tagset: TagSet | None = None
+
+    @classmethod
+    def parse(cls, spec: str, default_tagset: TagSet) -> Metric:
+        """The metric that a metric id names: a base id, `posscore[:<tagset>]`
+        or `pwe|ptlc:<base>[:<tagset>]`. A POS metric without a tag set gets
+        default_tagset. Raises ValueError for a malformed id.
+        """
+        spec = spec.strip()
+        if spec in BASE_METRIC_IDS:
+            return cls(spec)
+        head, *rest = spec.split(":")
+        if head == "posscore":
+            if len(rest) > 1:
+                raise ValueError(f"malformed metric id {spec!r}")
+            return cls(head, tagset=TagSet.parse(rest[0]) if rest else default_tagset)
+        if head in ("pwe", "ptlc"):
+            if len(rest) not in (1, 2):
+                raise ValueError(f"{head} needs the form {head}:<base>[:<tagset>], got {spec!r}")
+            base = rest[0]
+            if base not in BASE_METRIC_IDS:
+                raise ValueError(
+                    f"unknown base metric {base!r}; expected one of {', '.join(BASE_METRIC_IDS)}"
+                )
+            return cls(head, base, TagSet.parse(rest[1]) if len(rest) == 2 else default_tagset)
+        raise ValueError(f"unknown metric id {spec!r}")
 
     @property
     def metric_id(self) -> str:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,6 +10,7 @@ from posscore.core import PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
 from posscore.posmetrics import (
     BASE_METRIC_IDS,
+    Metric,
     PreparedSentence,
     pos_split,
     pos_weight,
@@ -29,21 +31,21 @@ def tagged(*pairs):
 
 
 class TestPosSplit:
-    def test_fraction_and_partition(self):
+    def test_fraction_and_partition(self, toy_table):
         s = tag_text("The big cat sat on the mat .")
         split = pos_split(s, DEFAULT)
         assert [t.norm for t in split.pos_words] == ["big", "cat", "sat", "mat"]
-        assert split.total_len == 8
-        assert split.pos_fraction == pytest.approx(0.5)
-        assert len(split.pos_words) + len(split.non_pos_words) == split.total_len
+        assert len(split.pos_words) + len(split.non_pos_words) == len(s) == 8
+        details = posscore(s, s, DEFAULT, toy_table).details
+        assert details["n_ref"] == details["n_cand"] == pytest.approx(0.5)
 
-    def test_count_punct_off_shrinks_denominator(self):
+    def test_count_punct_off_shrinks_denominator(self, toy_table):
         s = tag_text("The cat sat .")
-        on = pos_split(s, DEFAULT)
-        off = pos_split(s, DEFAULT, count_punct=False)
-        assert on.total_len == 4 and off.total_len == 3
-        assert off.pos_fraction == pytest.approx(2 / 3)
-        assert on.pos_fraction == pytest.approx(0.5)
+        assert len(s) == 4 and len(pos_split(s, DEFAULT).pos_words) == 2
+        on = posscore(s, s, DEFAULT, toy_table).details
+        off = posscore(s, s, DEFAULT, toy_table, count_punct=False).details
+        assert off["n_ref"] == off["n_cand"] == pytest.approx(2 / 3)
+        assert on["n_ref"] == on["n_cand"] == pytest.approx(0.5)
 
     def test_true_partition_preserving_order(self):
         sent = TaggedSentence.from_strings(
@@ -64,9 +66,11 @@ class TestPosSplit:
         large = pos_split(sent, TagSet.parse("noun+verb+adj+adv")).pos_words
         assert {t.surface for t in small} <= {t.surface for t in large}
 
-    def test_empty_sentence(self):
-        split = pos_split(TaggedSentence(()), DEFAULT)
-        assert split.pos_fraction == 0.0 and split.total_len == 0
+    def test_empty_sentence(self, toy_table):
+        empty = TaggedSentence(())
+        for count_punct in (True, False):
+            details = posscore(empty, empty, DEFAULT, toy_table, count_punct).details
+            assert details["n_ref"] == 0.0 and details["n_cand"] == 0.0
 
     def test_empty_sentence_splits_to_nothing(self):
         split = pos_split(TaggedSentence(()), DEFAULT)
@@ -318,3 +322,30 @@ class TestPreparedSentence:
             assert embedding_average(p_ref, p_cand, toy_table) == embedding_average(*plain, toy_table)
             for n in (1, 2, 3, 4):
                 assert bleu_n(p_ref, p_cand, n) == bleu_n(*plain, n)
+
+
+class TestMetricParse:
+    @pytest.mark.parametrize("tags", [DEFAULT, NOUN_VERB])
+    def test_round_trips_metric_id(self, tags):
+        for base in BASE_METRIC_IDS:
+            assert Metric.parse(base, tags) == Metric(base)
+            for family in ("pwe", "ptlc"):
+                m = Metric(family, base, tags)
+                assert Metric.parse(m.metric_id, FULL) == m
+                assert Metric.parse(f"{family}:{base}", tags) == m
+        m = Metric("posscore", tagset=tags)
+        assert Metric.parse(m.metric_id, tags) == m
+        assert Metric.parse(f"posscore:{tags.name}", FULL) == m
+
+    @pytest.mark.parametrize("spec, message", [
+        ("pwe", "pwe needs the form pwe:<base>[:<tagset>], got 'pwe'"),
+        ("pwe:rouge", "unknown base metric 'rouge'; expected one of " + ", ".join(BASE_METRIC_IDS)),
+        ("posscore:a:b", "malformed metric id 'posscore:a:b'"),
+        ("posscore:det", "tag set may only contain adopted tags; got DET"),
+        ("foo", "unknown metric id 'foo'"),
+        ("bleu1:x", "unknown metric id 'bleu1:x'"),
+        ("ptlc:bleu1:verb:x", "ptlc needs the form ptlc:<base>[:<tagset>], got 'ptlc:bleu1:verb:x'"),
+    ])
+    def test_malformed_id_raises(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Metric.parse(spec, DEFAULT)
