@@ -42,13 +42,12 @@ _ALIGN_NODE_BUDGET = 200_000
 class MetricScore:
     """A metric value plus optional component breakdown."""
 
-    metric_id: str
     value: float
     details: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise ValueError(f"{self.metric_id}: non-finite score {self.value!r}")
+            raise ValueError(f"non-finite score {self.value!r}")
 
 
 class PreparedTokens:
@@ -103,11 +102,10 @@ def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"BLEU order must be in 1..4, got {n}")
-    metric_id = f"bleu{n}"
     ref = _prepared(reference).norms
     cand = _prepared(candidate).norms
     if not cand:
-        return MetricScore(metric_id, 0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(len(ref))})
+        return MetricScore(0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(len(ref))})
     details = {"ref_len": float(len(ref)), "cand_len": float(len(cand))}
     log_sum = 0.0
     for k in range(1, n + 1):
@@ -121,7 +119,7 @@ def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
         log_sum += math.log(p_k) / n
     bp = min(1.0, math.exp(1.0 - len(ref) / len(cand)))
     details["bp"] = bp
-    return MetricScore(metric_id, bp * math.exp(log_sum), details)
+    return MetricScore(bp * math.exp(log_sum), details)
 
 
 class SynonymLexicon:
@@ -377,7 +375,7 @@ def meteor(
     adj = _match_edges(cand, ref, synonyms)
     matches, chunks, exact = _min_chunk_alignment(adj, len(ref.norms))
     if matches == 0:  # also when either side is empty
-        return MetricScore("meteor", 0.0, {"matches": 0.0, "chunks": 0.0})
+        return MetricScore(0.0, {"matches": 0.0, "chunks": 0.0})
     precision = matches / len(cand.norms)
     recall = matches / len(ref.norms)
     f_mean = (precision * recall) / (METEOR_ALPHA * precision + (1.0 - METEOR_ALPHA) * recall)
@@ -391,7 +389,7 @@ def meteor(
         "penalty": penalty,
         "exact_alignment": 1.0 if exact else 0.0,
     }
-    return MetricScore("meteor", f_mean * (1.0 - penalty), details)
+    return MetricScore(f_mean * (1.0 - penalty), details)
 
 
 def embedding_average(reference: Tokens, candidate: Tokens, table: EmbeddingTable) -> MetricScore:
@@ -400,7 +398,6 @@ def embedding_average(reference: Tokens, candidate: Tokens, table: EmbeddingTabl
     v = _prepared(candidate).average(table)
     value = cosine(u, v)
     return MetricScore(
-        "ea",
         value,
         {"ref_support": float(u.support), "cand_support": float(v.support)},
     )

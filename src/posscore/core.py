@@ -81,11 +81,6 @@ class TagSet:
         return "+".join(t.value.lower() for t in ordered)
 
     @classmethod
-    def of(cls, *tags: PosTag) -> "TagSet":
-        members = frozenset(tags)
-        return cls(cls.canonical_name(members), members)
-
-    @classmethod
     def parse(cls, spec: str) -> "TagSet":
         """Parse a '+'-separated tag list, e.g. ``adj+verb+propn+noun``.
 
@@ -99,36 +94,17 @@ class TagSet:
         return cls(cls.canonical_name(members), members)
 
 
-def _canonical_tag_sets() -> dict[str, TagSet]:
-    groups = [
-        (PosTag.ADJ,),
-        (PosTag.ADV,),
-        (PosTag.VERB,),
-        (PosTag.PRON,),
-        (PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADV, PosTag.VERB),
-        (PosTag.VERB, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.PROPN, PosTag.NOUN, PosTag.PRON),
-        (PosTag.ADJ, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADJ, PosTag.VERB, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADJ, PosTag.PROPN, PosTag.NOUN, PosTag.PRON),
-        (PosTag.ADV, PosTag.VERB, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADV, PosTag.ADJ, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADV, PosTag.PROPN, PosTag.NOUN, PosTag.PRON),
-        (PosTag.VERB, PosTag.PROPN, PosTag.NOUN, PosTag.PRON),
-        (PosTag.ADJ, PosTag.ADV, PosTag.VERB, PosTag.PROPN, PosTag.NOUN),
-        (PosTag.ADJ, PosTag.ADV, PosTag.VERB, PosTag.PROPN, PosTag.NOUN, PosTag.PRON),
-    ]
-    out: dict[str, TagSet] = {}
-    for tags in groups:
-        ts = TagSet.of(*tags)
-        out[ts.name] = ts
-    return out
-
-
 #: The tag-set grid used by the experiments, keyed by canonical name.
 #: NOUN and PROPN always travel together here because both are nominal.
-CANONICAL_TAG_SETS = _canonical_tag_sets()
+CANONICAL_TAG_SETS = {
+    ts.name: ts
+    for ts in map(TagSet.parse, (
+        "adj", "adv", "verb", "pron", "propn+noun", "adv+verb", "verb+propn+noun",
+        "propn+noun+pron", "adj+propn+noun", "adj+verb+propn+noun", "adj+propn+noun+pron",
+        "adv+verb+propn+noun", "adj+adv+propn+noun", "adv+propn+noun+pron",
+        "verb+propn+noun+pron", "adj+adv+verb+propn+noun", "adj+adv+verb+propn+noun+pron",
+    ))
+}
 
 #: Recommended default for the POS metrics.
 DEFAULT_TAG_SET = CANONICAL_TAG_SETS["adj+adv+verb+propn+noun"]

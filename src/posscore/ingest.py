@@ -40,11 +40,15 @@ class AnnotatedResponse:
     @property
     def final_score(self) -> float:
         """The mean score. When the plain sum leaves the float range, the
-        scores are divided by their count before they are summed.
+        scores are scaled by their largest magnitude first, which keeps every
+        partial sum within the count and so cannot overflow.
         """
         n = len(self.quality_scores)
         mean = sum(self.quality_scores) / n
-        return mean if math.isfinite(mean) else sum(q / n for q in self.quality_scores)
+        if math.isfinite(mean):
+            return mean
+        top = max(abs(q) for q in self.quality_scores)
+        return top * (sum(q / top for q in self.quality_scores) / n)
 
 
 @dataclass(frozen=True)
@@ -54,13 +58,10 @@ class ForumAnswer:
     text: str
     votes: int
     is_answer: bool
-    normalized_vote: float = 0.0
 
     def __post_init__(self) -> None:
         if self.votes < 0:
             raise ValueError("votes must be >= 0")
-        if not 0.0 <= self.normalized_vote <= 1.0:
-            raise ValueError("normalized_vote must lie in [0, 1]")
 
 
 def _field(obj, key: str, where: str):
@@ -276,16 +277,6 @@ def reservoir_sample(items: Iterable[T], k: int, seed: int) -> list[T]:
     return [item for _, item in reservoir]
 
 
-def normalize_votes(answers: Sequence[ForumAnswer]) -> list[ForumAnswer]:
-    """Fill normalized_vote = votes / max votes in the dialogue (0 if max is 0)."""
-    max_votes = max((a.votes for a in answers), default=0)
-    out = []
-    for a in answers:
-        nv = a.votes / max_votes if max_votes > 0 else 0.0
-        out.append(ForumAnswer(a.text, a.votes, a.is_answer, nv))
-    return out
-
-
 def build_forum_sets(
     dialogues: Sequence[tuple[str, Sequence[ForumAnswer]]],
 ) -> list[EvaluationSet]:
@@ -319,14 +310,18 @@ def vote_gt_curve(
 ) -> list[tuple[float, float]]:
     """Fraction of accepted answers per normalized-vote bin.
 
-    Ten equal-width bins over [0, 1]; each row is (bin lower edge, fraction
-    of that bin's answers flagged is_answer). Empty bins report 0.
+    An answer's normalized vote is its votes divided by the most votes in its
+    dialogue (0 when that is 0). Ten equal-width bins over [0, 1]; each row
+    is (bin lower edge, fraction of that bin's answers flagged is_answer).
+    Empty bins report 0.
     """
     totals = [0] * 10
     hits = [0] * 10
     for _, answers in dialogues:
-        for a in normalize_votes(answers):
-            b = min(int(a.normalized_vote * 10), 9)
+        max_votes = max((a.votes for a in answers), default=0)
+        for a in answers:
+            normalized = a.votes / max_votes if max_votes > 0 else 0.0
+            b = min(int(normalized * 10), 9)
             totals[b] += 1
             if a.is_answer:
                 hits[b] += 1
@@ -359,17 +354,13 @@ def load_usr_json(
             quality = r.get("quality", [])
             if not isinstance(quality, list) or not (quality or is_ref):
                 raise ValueError(f"{rwhere}: 'quality' must list one score per annotator")
-            response = AnnotatedResponse(
+            responses.append(AnnotatedResponse(
                 text=text,
                 quality_scores=tuple(
                     _score(q, f"{rwhere}: quality[{i}]") for i, q in enumerate(quality)
                 ),
                 is_reference=is_ref,
-            )
-            if quality:
-                # scores near the float maximum can round past it even when divided first
-                _score(response.final_score, f"{rwhere}: mean quality")
-            responses.append(response)
+            ))
         if "reference" in obj:
             reference = _text(obj, "reference", where)
         else:
@@ -390,8 +381,7 @@ def load_forum_json(
     """Read forum-style data: a JSON array of dialogue objects.
 
     Each object holds `question` (string) and `answers`, each answer with
-    `text`, integer `votes`, and boolean `is_answer`. Normalized votes are
-    filled per dialogue.
+    `text`, integer `votes`, and boolean `is_answer`.
     """
     out = []
     for where, obj in _json_items(Path(path)):
@@ -409,5 +399,5 @@ def load_forum_json(
             # the votes become float human scores, so they must fit a float
             _score(votes, f"{awhere}: votes")
             answers.append(ForumAnswer(text, votes, _flag(a, "is_answer", awhere)))
-        out.append((question, normalize_votes(answers)))
+        out.append((question, answers))
     return out

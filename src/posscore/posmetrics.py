@@ -1,5 +1,5 @@
 """POS-aware response metrics: PWE, PTLC, and POSSCORE, and the metric
-registry that scores a corpus set by set.
+registry (`Metric`) that scores a corpus set by set.
 
 All three start from the same partition of a tagged response into POS words
 (tokens whose tag is in the chosen TagSet) and the remainder. PWE scores
@@ -10,20 +10,20 @@ under an exponential length-ratio weight.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .basemetrics import (
     MetricScore,
     PreparedTokens,
     SynonymLexicon,
+    Tokens,
     bleu_n,
     embedding_average,
     meteor,
 )
-from .core import PosTag, TaggedSentence, TagSet, Token
+from .core import DEFAULT_TAG_SET, PosTag, TaggedSentence, TagSet, Token
 from .embed import EmbeddingTable, cosine
 
 #: Base metrics usable inside PWE and PTLC.
@@ -133,7 +133,7 @@ def _score_base(
         raise ValueError(f"unknown base metric {base!r}; expected one of {BASE_METRIC_IDS}")
     if base == "ea" and table is None:
         raise ValueError("base metric 'ea' requires an embedding table")
-    return SCORERS[base](reference, candidate, table=table, synonyms=synonyms)
+    return Metric(base).score(reference, candidate, table, synonyms)
 
 
 def pwe(
@@ -147,8 +147,7 @@ def pwe(
     """POS Word Extraction: run the base metric on the POS words alone."""
     ref = _prepared(reference).split(tags)
     cand = _prepared(candidate).split(tags)
-    inner = _score_base(base, ref.pos_words, cand.pos_words, table, synonyms)
-    return MetricScore(f"pwe:{base}:{tags.name}", inner.value, inner.details)
+    return _score_base(base, ref.pos_words, cand.pos_words, table, synonyms)
 
 
 def ptlc(
@@ -168,16 +167,13 @@ def ptlc(
     """
     ref = _prepared(reference).split(tags)
     cand = _prepared(candidate).split(tags)
-    metric_id = f"ptlc:{base}:{tags.name}"
     if base in _HARD_BASES:
         ref_seq = ref.pos_words.tokens + ref.tag_tokens
         cand_seq = cand.pos_words.tokens + cand.tag_tokens
-        inner = bleu_n(ref_seq, cand_seq, int(base[-1]))
-        return MetricScore(metric_id, inner.value, inner.details)
+        return bleu_n(ref_seq, cand_seq, int(base[-1]))
     text = _score_base(base, ref.pos_words, cand.pos_words, table, synonyms)
     tag_score = bleu_n(ref.tag_tokens, cand.tag_tokens, 1)
     return MetricScore(
-        metric_id,
         text.value + tag_score.value,
         {"text_score": text.value, "tag_score": tag_score.value},
     )
@@ -216,7 +212,6 @@ def posscore(
     degenerate = n_ref == 0.0 or n_cand == 0.0
     value = weight * s_pos + s_non_pos
     return MetricScore(
-        "posscore",
         value,
         {
             "w": weight,
@@ -229,30 +224,14 @@ def posscore(
     )
 
 
-#: The metric registry: every metric family by the head of its id. Each
-#: scorer takes (reference, candidate) and the run's resources by keyword.
-SCORERS: dict[str, Callable[..., MetricScore]] = {
-    "bleu1": lambda r, c, **_: bleu_n(r, c, 1),
-    "bleu2": lambda r, c, **_: bleu_n(r, c, 2),
-    "bleu3": lambda r, c, **_: bleu_n(r, c, 3),
-    "bleu4": lambda r, c, **_: bleu_n(r, c, 4),
-    "meteor": lambda r, c, synonyms, **_: meteor(r, c, synonyms),
-    "ea": lambda r, c, table, **_: embedding_average(r, c, table),
-    "pwe": lambda r, c, tags, base, table, synonyms, **_: pwe(r, c, tags, base, table, synonyms),
-    "ptlc": lambda r, c, tags, base, table, synonyms, **_: ptlc(r, c, tags, base, table, synonyms),
-    "posscore": lambda r, c, tags, table, count_punct, **_: posscore(
-        r, c, tags, table, count_punct
-    ),
-}
-
-
 @dataclass(frozen=True)
 class Metric:
-    """A parsed metric id: a base metric alone, or a POS metric family with
-    its tag set (and, for pwe and ptlc, its base metric).
+    """One metric: a base metric alone, or a POS metric family with its tag
+    set (and, for pwe and ptlc, its base metric). It parses and writes the
+    metric id, says what the metric needs, and scores it.
     """
 
-    family: str  # a key of SCORERS
+    family: str  # a base metric id, "posscore", "pwe" or "ptlc"
     base: str | None = None
     tagset: TagSet | None = None
 
@@ -283,9 +262,12 @@ class Metric:
 
     @property
     def metric_id(self) -> str:
-        if self.base is not None and self.tagset is not None:
-            return f"{self.family}:{self.base}:{self.tagset.name}"
-        return self.family
+        """The id that `parse` reads back. Every POS metric id names its tag
+        set, except plain `posscore`, which is POSSCORE on DEFAULT_TAG_SET.
+        """
+        if self.tagset is None or (self.base is None and self.tagset == DEFAULT_TAG_SET):
+            return self.family
+        return ":".join(filter(None, (self.family, self.base, self.tagset.name)))
 
     @property
     def needs_embeddings(self) -> bool:
@@ -294,6 +276,32 @@ class Metric:
     @property
     def needs_tags(self) -> bool:
         return self.tagset is not None
+
+    def score(
+        self,
+        reference: Sentence | Tokens,
+        candidate: Sentence | Tokens,
+        table: EmbeddingTable | None = None,
+        synonyms: SynonymLexicon | None = None,
+        count_punct: bool = True,
+    ) -> MetricScore:
+        """Score one candidate against the reference. Each scorer reads only
+        the resources it needs. A POS metric takes tagged sentences and a base
+        metric tokens; a PreparedSentence serves both.
+        """
+        # each scorer is looked up by its module name at call time, so a
+        # wrapper bound to that name (the benchmark's tracer) sees the call
+        if self.family == "posscore":
+            return posscore(reference, candidate, self.tagset, table, count_punct)
+        if self.family == "pwe":
+            return pwe(reference, candidate, self.tagset, self.base, table, synonyms)
+        if self.family == "ptlc":
+            return ptlc(reference, candidate, self.tagset, self.base, table, synonyms)
+        if self.family == "meteor":
+            return meteor(reference, candidate, synonyms)
+        if self.family == "ea":
+            return embedding_average(reference, candidate, table)
+        return bleu_n(reference, candidate, int(self.family[-1]))
 
 
 #: A response as `score_sets` takes it: tagged, or a token list when no metric needs tags.
@@ -315,18 +323,17 @@ def score_sets(
     kept for the whole call is the norm -> stem dict, so each distinct word
     is stemmed once. Returns metric id -> set id -> (score a, score b).
     """
-    resources = {"table": table, "synonyms": synonyms, "count_punct": count_punct}
-    scorers = {
-        m.metric_id: functools.partial(SCORERS[m.family], tags=m.tagset, base=m.base, **resources)
-        for m in metrics
-    }
-    scores: dict[str, dict[str, tuple[float, float]]] = {mid: {} for mid in scorers}
+    scores: dict[str, dict[str, tuple[float, float]]] = {m.metric_id: {} for m in metrics}
+    targets = [(scores[m.metric_id], m) for m in metrics]
     stems: dict[str, str] = {}
     for set_id, *sentences in sets:
         ref, a, b = (
             PreparedSentence(s, stems) if isinstance(s, TaggedSentence) else PreparedTokens(s, stems)
             for s in sentences
         )
-        for mid, score in scorers.items():
-            scores[mid][set_id] = (score(ref, a).value, score(ref, b).value)
+        for out, m in targets:
+            out[set_id] = (
+                m.score(ref, a, table, synonyms, count_punct).value,
+                m.score(ref, b, table, synonyms, count_punct).value,
+            )
     return scores

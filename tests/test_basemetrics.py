@@ -15,6 +15,7 @@ from posscore.basemetrics import (
 )
 from posscore.core import Token, tokenize
 from posscore.embed import EmbeddingTable
+from posscore.posmetrics import Metric
 from posscore.stem import porter_stem
 
 from oracles import brute_bleu, brute_meteor
@@ -26,10 +27,13 @@ def toks(text):
 
 class TestBleu:
     def test_identity(self):
+        text = toks("the big cat sat down")
         for n in (1, 2, 3, 4):
-            s = bleu_n(toks("the big cat sat down"), toks("the big cat sat down"), n)
+            s = bleu_n(text, text, n)
             assert s.value == pytest.approx(1.0, abs=1e-12)
-            assert s.metric_id == f"bleu{n}"
+            m = Metric(f"bleu{n}")
+            assert m.metric_id == f"bleu{n}"
+            assert m.score(text, text) == s
 
     def test_short_candidate_brevity(self):
         s = bleu_n(toks("the cat sat"), toks("the cat"), 1)
@@ -246,9 +250,9 @@ class TestEmbeddingAverage:
 class TestMetricScore:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            MetricScore("x", float("nan"))
+            MetricScore(float("nan"))
         with pytest.raises(ValueError):
-            MetricScore("x", float("inf"))
+            MetricScore(float("inf"))
 
 
 class TestSynonymLexicon:

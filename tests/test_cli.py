@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -158,7 +159,7 @@ class TestScore:
             "--corpus", str(cli_workspace / "corpus.jsonl"),
             "--tags", str(cli_workspace / "tags.tsv"),
             "--embeddings", str(cli_workspace / "vectors.vec"),
-            "--metrics", "posscore:verb+noun,posscore",
+            "--metrics", "posscore,posscore:adj+adv+verb+propn+noun",
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
@@ -309,6 +310,21 @@ class TestCorrelate:
             assert matrix[i][i] == pytest.approx(1.0)
             for j in range(3):
                 assert matrix[i][j] == pytest.approx(matrix[j][i])
+
+    def test_posscore_ids_keep_their_tag_set(self, cli_workspace, tmp_path):
+        out = tmp_path / "tau.csv"
+        rc = run(
+            "correlate",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", "posscore:verb+noun,posscore",
+            "--out", str(out),
+        )
+        assert rc == 0
+        rows = read_csv(out)
+        assert rows[0] == ["metric_id", "posscore", "posscore:verb+noun"]
+        assert [r[0] for r in rows[1:]] == ["posscore", "posscore:verb+noun"]
 
     def test_byte_identical_rerun(self, cli_workspace, tmp_path):
         args = [
@@ -530,16 +546,19 @@ class TestConvert:
             assert l["candidates"][0]["human"] > l["candidates"][1]["human"]
 
     def test_usr_mean_past_the_float_sum(self, tmp_path):
-        # the plain sum of [1e308, 1e308] is inf; its mean is not
-        src = tmp_path / "usr.json"
-        src.write_text(json.dumps([{"reference": "r", "responses": [
-            {"text": "a", "quality": [3]},
-            {"text": "b", "quality": [1e308, 1e308]},
-        ]}]))
-        out = tmp_path / "out.jsonl"
-        assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
-        [line] = [json.loads(l) for l in out.read_text().splitlines()]
-        assert [c["human"] for c in line["candidates"]] == [1e308, 3.0]
+        # the plain sums are inf; the means are not. Each third of the largest
+        # float rounds up, so dividing by the count first would still overflow
+        top = sys.float_info.max
+        for quality, mean in (([1e308, 1e308], 1e308), ([top] * 3, top)):
+            src = tmp_path / "usr.json"
+            src.write_text(json.dumps([{"reference": "r", "responses": [
+                {"text": "a", "quality": [3]},
+                {"text": "b", "quality": quality},
+            ]}]))
+            out = tmp_path / "out.jsonl"
+            assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
+            [line] = [json.loads(l) for l in out.read_text().splitlines()]
+            assert [c["human"] for c in line["candidates"]] == [mean, 3.0]
 
     def test_forum(self, cli_workspace, tmp_path):
         out = tmp_path / "forum.jsonl"
@@ -588,13 +607,12 @@ class TestConvert:
                 {"text": "ref", "is_reference": True},
                 {"text": "a", "quality": [3], "is_reference": "false"},
             ]}], "item 0: responses[1]: 'is_reference' must be true or false"),
-            # the mean of two finite scores once overflowed to "human": Infinity;
-            # [1e308, 1e308] now averages to 1e308, but three copies of the
-            # largest float still round past it when divided before summing
+            # the mean of finite scores cannot overflow, so the one check left
+            # against a "human": Infinity is the one on each score
             ("usr", [{"reference": "r", "responses": [
                 {"text": "a", "quality": [3]},
-                {"text": "b", "quality": [1.7976931348623157e308] * 3},
-            ]}], "item 0: responses[1]: mean quality: expected a finite number, got inf"),
+                {"text": "b", "quality": [3, 3, float("inf")]},
+            ]}], "item 0: responses[1]: quality[2]: expected a finite number, got inf"),
             # a null reference was once written to the corpus as the text "None"
             ("usr", [{"reference": None, "responses": [
                 {"text": "a", "quality": [3]},
@@ -1161,15 +1179,13 @@ class TestRegistryOracle:
         ),
         "tags-options": (
             True,
-            ["posscore:verb+noun", "pwe:meteor:adj+propn+noun", "ptlc:ea:verb",
+            ["posscore", "posscore:verb+noun", "pwe:meteor:adj+propn+noun", "ptlc:ea:verb",
              "ptlc:bleu2:adv+verb", "pwe:ea", "ptlc:meteor", "meteor", "ea", "bleu3"],
             ["--count-punct", "off", "--synonyms", "--duplicate-bad",
              "--tagset", "adj+verb+propn+noun"],
         ),
         # posscore, scored last, reads the default tag set's split that pwe
-        # and ptlc made, with POS-word fractions of its own; "tags-options"
-        # cannot take a plain "posscore" next to "posscore:verb+noun", as
-        # both have the id posscore
+        # and ptlc made, with POS-word fractions of its own
         "tags-shared-split": (
             True,
             ["pwe:ea", "ptlc:meteor", "ptlc:bleu2", "posscore"],

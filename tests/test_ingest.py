@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from posscore.ingest import (
     load_forum_json,
     load_jsonl,
     load_usr_json,
-    normalize_votes,
     reservoir_sample,
     vote_gt_curve,
     write_jsonl,
@@ -171,6 +171,11 @@ class TestBuildUsrSets:
     def test_final_score_survives_a_sum_past_the_float_range(self):
         assert resp("r", 1e308, 1e308).final_score == 1e308
         assert resp("r", -1e308, -1e308, -1e308).final_score == -1e308
+        # each third of the largest float rounds up, so dividing by the count
+        # before summing would still overflow
+        top = sys.float_info.max
+        assert resp("r", top, top, top).final_score == top
+        assert resp("r", -top, -top, -top).final_score == -top
 
     def test_final_score_keeps_the_plain_mean_bits(self):
         rng = random.Random(8)
@@ -234,25 +239,28 @@ class TestReservoirSample:
         assert all(60 <= c <= 140 for c in counts), counts
 
 
+def curve_fractions(*dialogues):
+    return [frac for _, frac in vote_gt_curve([("q", answers) for answers in dialogues])]
+
+
 class TestNormalizeVotes:
+    """vote_gt_curve bins each answer by its votes over its dialogue's maximum."""
+
     def test_division_by_max(self):
-        answers = [ForumAnswer("x", 4, False), ForumAnswer("y", 2, False)]
-        out = normalize_votes(answers)
-        assert [a.normalized_vote for a in out] == [1.0, 0.5]
+        answers = [ForumAnswer("x", 4, True), ForumAnswer("y", 2, True)]
+        assert curve_fractions(answers) == [0.0] * 5 + [1.0] + [0.0] * 3 + [1.0]
 
     def test_all_zero(self):
-        out = normalize_votes([ForumAnswer("x", 0, False)])
-        assert out[0].normalized_vote == 0.0
+        assert curve_fractions([ForumAnswer("x", 0, True)]) == [1.0] + [0.0] * 9
 
     def test_scale_free(self):
-        answers = [ForumAnswer("x", 3, False), ForumAnswer("y", 9, True)]
-        once = normalize_votes(answers)
-        scaled = normalize_votes(
-            [ForumAnswer(a.text, a.votes * 7, a.is_answer) for a in answers]
-        )
-        assert [a.normalized_vote for a in once] == [
-            a.normalized_vote for a in scaled
-        ]
+        answers = [ForumAnswer("x", 3, True), ForumAnswer("y", 9, True), ForumAnswer("z", 5, False)]
+        scaled = [ForumAnswer(a.text, a.votes * 7, a.is_answer) for a in answers]
+        once = curve_fractions(answers)
+        assert once == [0.0] * 3 + [1.0] + [0.0] * 5 + [1.0]
+        assert curve_fractions(scaled) == once
+        # the maximum is taken per dialogue, not over all of them
+        assert curve_fractions(answers, scaled) == once
 
 
 class TestBuildForumSets:
@@ -397,17 +405,13 @@ class TestLoadUsrJson:
              % ("3" * 5000), "line 3: malformed JSON (Exceeds the limit"),
             (usr_file({"responses": [{"text": "r1", "quality": [3], "is_reference": 0}]}),
              "item 1: responses[0]: 'is_reference' must be true or false, got 0"),
-            # [1e308, 1e308] averages to 1e308; three copies of the largest float
-            # still round past it when divided by 3 before they are summed
-            (usr_file({"responses": [{"text": "r1", "quality": [1.7976931348623157e308] * 3}]}),
-             "item 1: responses[0]: mean quality: expected a finite number, got inf"),
             (usr_file({"reference": None}), "item 1: 'reference' must be a string, got None"),
             (usr_file({"responses": [{"text": ["r1"], "quality": [3]}]}),
              "item 1: responses[0]: 'text' must be a string, got ['r1']"),
         ],
         ids=["quality-null", "quality-nan", "quality-missing", "response-not-object",
              "context-number", "malformed-json", "integer-past-digit-limit", "flag-number",
-             "mean-overflow", "reference-null", "text-list"],
+             "reference-null", "text-list"],
     )
     def test_bad_input_names_file_and_place_once(self, tmp_path, text, message):
         p = tmp_path / "usr.json"
@@ -434,7 +438,8 @@ class TestLoadForumJson:
         [(question, answers)] = load_forum_json(p)
         assert question == "how?"
         assert answers[0].is_answer and not answers[1].is_answer
-        assert answers[1].normalized_vote == 1.0
+        # the accepted answer's 3 votes are half the dialogue's maximum of 6
+        assert curve_fractions(answers) == [0.0] * 5 + [1.0] + [0.0] * 4
 
     def test_boolean_votes_rejected(self, tmp_path):
         data = [{"question": "q", "answers": [{"text": "a", "votes": True}]}]

@@ -145,7 +145,7 @@ class TestPwe:
         s = tag_text("the big cat sat quickly .")
         score = pwe(s, s, FULL, "ea", table=toy_table)
         assert score.value == pytest.approx(1.0, abs=1e-12)
-        assert score.metric_id == "ea" or score.metric_id.startswith("pwe:")
+        assert Metric("pwe", "ea", FULL).metric_id == f"pwe:ea:{FULL.name}"
 
     def test_noun_deletion_brevity(self):
         ref = TaggedSentence(tuple((Token(w), PosTag[t]) for w, t in WATER_PAIRS))
@@ -159,8 +159,9 @@ class TestPwe:
 
     def test_metric_id_embeds_base_and_tagset(self):
         s = tag_text("the cat sat")
-        score = pwe(s, s, NOUN_VERB, "bleu2")
-        assert score.metric_id == "pwe:bleu2:verb+noun"
+        m = Metric("pwe", "bleu2", NOUN_VERB)
+        assert m.metric_id == "pwe:bleu2:verb+noun"
+        assert m.score(s, s) == pwe(s, s, NOUN_VERB, "bleu2")
 
     def test_unknown_base(self):
         s = tag_text("the cat")
@@ -206,7 +207,9 @@ class TestPtlc:
 
     def test_metric_id(self):
         s = tag_text("the cat sat")
-        assert ptlc(s, s, NOUN_VERB, "meteor").metric_id == "ptlc:meteor:verb+noun"
+        m = Metric("ptlc", "meteor", NOUN_VERB)
+        assert m.metric_id == "ptlc:meteor:verb+noun"
+        assert m.score(s, s) == ptlc(s, s, NOUN_VERB, "meteor")
 
     def test_unknown_base(self):
         s = tag_text("the cat")
@@ -334,8 +337,12 @@ class TestMetricParse:
                 assert Metric.parse(m.metric_id, FULL) == m
                 assert Metric.parse(f"{family}:{base}", tags) == m
         m = Metric("posscore", tagset=tags)
-        assert Metric.parse(m.metric_id, tags) == m
+        assert Metric.parse("posscore", tags) == m
         assert Metric.parse(f"posscore:{tags.name}", FULL) == m
+        # the id names every tag set but DEFAULT_TAG_SET, the one that plain
+        # posscore means in an output
+        assert m.metric_id == ("posscore" if tags == DEFAULT else f"posscore:{tags.name}")
+        assert Metric.parse(m.metric_id, DEFAULT) == m
 
     @pytest.mark.parametrize("spec, message", [
         ("pwe", "pwe needs the form pwe:<base>[:<tagset>], got 'pwe'"),
