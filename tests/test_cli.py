@@ -546,19 +546,30 @@ class TestConvert:
             assert l["candidates"][0]["human"] > l["candidates"][1]["human"]
 
     def test_usr_mean_past_the_float_sum(self, tmp_path):
-        # the plain sums are inf; the means are not. Each third of the largest
-        # float rounds up, so dividing by the count first would still overflow
+        # the plain sum of [1e308, 1e308] is inf; its mean is not
+        src = tmp_path / "usr.json"
+        src.write_text(json.dumps([{"reference": "r", "responses": [
+            {"text": "a", "quality": [3]},
+            {"text": "b", "quality": [1e308, 1e308]},
+        ]}]))
+        out = tmp_path / "out.jsonl"
+        assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
+        [line] = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [c["human"] for c in line["candidates"]] == [1e308, 3.0]
+
+    def test_usr_mean_of_three_largest_floats(self, tmp_path):
+        # each third of the largest float rounds up, so dividing by the count
+        # before summing would still overflow; the mean is the largest float
         top = sys.float_info.max
-        for quality, mean in (([1e308, 1e308], 1e308), ([top] * 3, top)):
-            src = tmp_path / "usr.json"
-            src.write_text(json.dumps([{"reference": "r", "responses": [
-                {"text": "a", "quality": [3]},
-                {"text": "b", "quality": quality},
-            ]}]))
-            out = tmp_path / "out.jsonl"
-            assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
-            [line] = [json.loads(l) for l in out.read_text().splitlines()]
-            assert [c["human"] for c in line["candidates"]] == [mean, 3.0]
+        src = tmp_path / "usr.json"
+        src.write_text(json.dumps([{"reference": "r", "responses": [
+            {"text": "a", "quality": [3]},
+            {"text": "b", "quality": [top] * 3},
+        ]}]))
+        out = tmp_path / "out.jsonl"
+        assert run("convert", "--format", "usr", "--input", str(src), "--out", str(out)) == 0
+        [line] = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [c["human"] for c in line["candidates"]] == [top, 3.0]
 
     def test_forum(self, cli_workspace, tmp_path):
         out = tmp_path / "forum.jsonl"

@@ -389,6 +389,15 @@ class TestLoadUsrJson:
         with pytest.raises(ValueError, match="array"):
             load_usr_json(p)
 
+    def test_mean_of_three_largest_floats_loads(self, tmp_path):
+        # each third of the largest float rounds up, so dividing by the count
+        # before summing would still overflow; the mean is the largest float
+        top = sys.float_info.max
+        p = tmp_path / "usr.json"
+        p.write_text(usr_file({"responses": [{"text": "r1", "quality": [top] * 3}]}))
+        [_, (_, _, [response])] = load_usr_json(p)
+        assert response.final_score == top
+
     @pytest.mark.parametrize(
         "text, message",
         [
