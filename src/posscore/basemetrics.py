@@ -54,19 +54,20 @@ class PreparedTokens:
     """A token sequence prepared once for every base metric that scores it.
 
     Every base metric accepts it wherever it takes tokens. Its Porter stems
-    and its average embedding are computed on first use and then kept. The
-    stems are looked up in `stems`, a norm -> stem dict that callers may
-    share between sequences so that each distinct word is stemmed once.
-    The average is kept for the last table it was asked for.
+    its k-gram counts and its average embedding are computed on first use
+    and then kept. The stems are looked up in `stems`, a norm -> stem dict
+    that callers may share between sequences so that each distinct word is
+    stemmed once. The average is kept for the last table it was asked for.
     """
 
-    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_average")
+    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_ngrams", "_average")
 
     def __init__(self, tokens: Iterable[Token], stems: dict[str, str] | None = None) -> None:
         self.tokens = tuple(tokens)
         self.norms = [t.norm for t in self.tokens]
         self._stem_dict = {} if stems is None else stems
         self._stems: list[str] | None = None
+        self._ngrams: dict[int, Counter] = {}
         self._average: tuple[EmbeddingTable, SentenceVector] | None = None
 
     @property
@@ -92,8 +93,12 @@ def _prepared(tokens: Tokens) -> PreparedTokens:
     return tokens if isinstance(tokens, PreparedTokens) else PreparedTokens(tokens)
 
 
-def _ngram_counts(norms: Sequence[str], k: int) -> Counter:
-    return Counter(zip(*(norms[i:] for i in range(k))))
+def _ngram_counts(tokens: PreparedTokens, k: int) -> Counter:
+    """The k-gram counts of tokens, kept on it; callers must not mutate them."""
+    counts = tokens._ngrams.get(k)
+    if counts is None:
+        counts = tokens._ngrams[k] = Counter(zip(*(tokens.norms[i:] for i in range(k))))
+    return counts
 
 
 def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
@@ -102,22 +107,22 @@ def bleu_n(reference: Tokens, candidate: Tokens, n: int) -> MetricScore:
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"BLEU order must be in 1..4, got {n}")
-    ref = _prepared(reference).norms
-    cand = _prepared(candidate).norms
-    if not cand:
-        return MetricScore(0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(len(ref))})
-    details = {"ref_len": float(len(ref)), "cand_len": float(len(cand))}
+    ref, cand = _prepared(reference), _prepared(candidate)
+    ref_len, cand_len = len(ref.norms), len(cand.norms)
+    if not cand_len:
+        return MetricScore(0.0, {"bp": 0.0, "cand_len": 0.0, "ref_len": float(ref_len)})
+    details = {"ref_len": float(ref_len), "cand_len": float(cand_len)}
     log_sum = 0.0
     for k in range(1, n + 1):
         cand_counts = _ngram_counts(cand, k)
         ref_counts = _ngram_counts(ref, k)
         shared = cand_counts.keys() & ref_counts.keys()  # the others clip to 0
         clipped = sum(min(cand_counts[g], ref_counts[g]) for g in shared)
-        total = len(cand) - k + 1
+        total = cand_len - k + 1
         p_k = max(float(clipped), BLEU_EPSILON) / total if total > 0 else BLEU_EPSILON
         details[f"p{k}"] = p_k
         log_sum += math.log(p_k) / n
-    bp = min(1.0, math.exp(1.0 - len(ref) / len(cand)))
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
     details["bp"] = bp
     return MetricScore(bp * math.exp(log_sum), details)
 

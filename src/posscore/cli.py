@@ -338,7 +338,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     order = sorted(run.corpus, key=lambda e: e.id)
     ids = run.metric_ids
     vectors = {mid: [s for ev in order for s in run.scores[mid][ev.id]] for mid in ids}
-    rows = [[mid] + [repr(kendall_tau(vectors[mid], vectors[o])) for o in ids] for mid in ids]
+    taus: dict[tuple[str, str], str] = {}
+    for i, mid in enumerate(ids):  # tau-b is exactly symmetric: compute each pair once
+        for o in ids[i:]:
+            taus[mid, o] = taus[o, mid] = repr(kendall_tau(vectors[mid], vectors[o]))
+    rows = [[mid] + [taus[mid, o] for o in ids] for mid in ids]
     _write_csv(args.out, ["metric_id"] + ids, rows)
     return 0
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -190,17 +191,20 @@ def tokenize(text: str) -> list[Token]:
     """Split on whitespace, then detach leading/trailing ASCII punctuation.
 
     Internal punctuation (contractions, hyphenated compounds) stays inside
-    the token. Deterministic; empty input yields an empty list.
+    the token. Deterministic; empty input yields an empty list. Equal chunks
+    share their Token objects, which are immutable; the list is new.
     """
-    out: list[Token] = []
-    for chunk in text.split():
-        start, end = 0, len(chunk)
-        while start < end and chunk[start] in _PUNCT_CHARS:
-            start += 1
-        while end > start and chunk[end - 1] in _PUNCT_CHARS:
-            end -= 1
-        out.extend(Token(c) for c in chunk[:start])
-        if start < end:
-            out.append(Token(chunk[start:end]))
-        out.extend(Token(c) for c in chunk[end:])
-    return out
+    return [token for chunk in text.split() for token in _chunk_tokens(chunk)]
+
+
+@lru_cache(maxsize=1 << 14)
+def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
+    """The tokens of one whitespace chunk; a bounded cache, so each distinct
+    word of a run is usually built once.
+    """
+    start, end = 0, len(chunk)
+    while start < end and chunk[start] in _PUNCT_CHARS:
+        start += 1
+    while end > start and chunk[end - 1] in _PUNCT_CHARS:
+        end -= 1
+    return tuple(Token(part) for part in (*chunk[:start], chunk[start:end], *chunk[end:]) if part)

@@ -101,12 +101,14 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     parsed. Every row's value count is still checked against the header
     dimension: a mismatch, or in a kept row a non-numeric or non-finite
     value or a squared norm past the float range, raises ValueError naming
-    the line. Kept rows go straight into a matrix of one row per
-    `vocab_filter` word (without one, it doubles when full), cut at the end.
+    the line. Values follow Python `float()` syntax. Kept rows are parsed a
+    block at a time into a matrix of one row per `vocab_filter` word
+    (without one, it doubles when full), cut at the end.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     index: dict[str, int] = {}
+    pending: list[tuple[int, str, str]] = []  # line, token and values of kept rows not parsed yet
     with opener(path, "rb") as raw:
         text = io.TextIOWrapper(raw, encoding="utf-8")
         parts = text.readline().split()
@@ -124,27 +126,69 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
                 continue
             # one value per separator after the token; fastText pads some
             # rows with a trailing space before the newline, which adds none
-            count = line.count(" ") - line.endswith((" \n", " "))
-            if count != dim:
+            padded = line.endswith((" \n", " "))
+            count = line.count(" ") - padded
+            if count != dim:  # a bad value on an earlier line is reported first
+                _parse_rows(path, matrix, len(index), pending)
                 raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
             cut = line.find(" ")
             token = line[:cut].casefold()
             if (vocab_filter is not None and token not in vocab_filter) or token in index:
                 continue
-            fields = line[cut + 1 :].rstrip("\n").split(" ", dim)[:dim]
             row = len(index)
             if row == len(matrix):  # only without vocab_filter; no view of matrix is alive
                 matrix.resize((2 * row, dim), refcheck=False)
-            try:
-                matrix[row] = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            problem = _row_problem(matrix[row])
-            if problem:
-                raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
             index[token] = row
+            values = line[cut + 1 : len(line) - padded - line.endswith("\n")]
+            pending.append((lineno, token, values))
+            if len(pending) == _BLOCK_ROWS:
+                _parse_rows(path, matrix, len(index), pending)
+        _parse_rows(path, matrix, len(index), pending)
     matrix.resize((len(index), dim), refcheck=False)
     return EmbeddingTable(index, matrix)
+
+
+#: Kept rows parsed per np.loadtxt call: enough to pay its fixed cost, few
+#: enough that the text held next to the matrix stays small.
+_BLOCK_ROWS = 64
+
+
+def _parse_rows(
+    path: Path, matrix: np.ndarray, stop: int, pending: list[tuple[int, str, str]]
+) -> None:
+    """Parse the pending rows into the rows of matrix that end at stop, check
+    each in order, then empty pending.
+
+    np.loadtxt parses a block of non-empty printable-ASCII text in one call;
+    on such text it accepts no value that float() refuses, with the same
+    bits. Any other block, or one loadtxt refuses, is parsed row by row with
+    float(), so the syntax and the message of the first bad line are
+    float()'s. Elsewhere loadtxt would strip characters such as \x1c, and it
+    skips empty rows.
+    """
+    rows = matrix[stop - len(pending) : stop]
+    texts = [values for _, _, values in pending]
+    parsed = None
+    if texts and all(t and t.isascii() and t.isprintable() for t in texts):
+        try:
+            parsed = np.loadtxt(
+                texts, dtype=np.float64, delimiter=" ", ndmin=2, comments=None, quotechar=None
+            )
+        except ValueError:
+            pass
+    bulk = parsed is not None and parsed.shape == rows.shape  # a skipped row would broadcast
+    if bulk:
+        rows[:] = parsed
+    for row, (lineno, token, values) in zip(rows, pending):
+        if not bulk:
+            try:
+                row[:] = np.fromiter(map(float, values.split(" ")), np.float64, count=len(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        problem = _row_problem(row)
+        if problem:
+            raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
+    pending.clear()
 
 
 def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> SentenceVector:

@@ -212,11 +212,14 @@ def load_model(path: str | Path) -> TaggerModel:
 
 def load_tagged(path: str | Path) -> list[TaggedSentence]:
     """Parse tab-separated (index, surface, tag) rows; blank lines split
-    sentences; unknown tag strings fall back to X.
+    sentences; unknown tag strings fall back to X. Equal surfaces share one
+    Token object.
     """
     path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[Token, PosTag]] = []
+    tokens: dict[str, Token] = {}
+    tags: dict[str, PosTag] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -236,11 +239,15 @@ def load_tagged(path: str | Path) -> list[TaggedSentence]:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer token index {fields[0]!r}"
                 ) from None
-            try:
-                tag_value = PosTag.parse(fields[2])
-            except ValueError:
-                tag_value = PosTag.X
-            current.append((Token(fields[1]), tag_value))
+            surface, tag_text = fields[1], fields[2]
+            if surface not in tokens:
+                tokens[surface] = Token(surface)
+            if tag_text not in tags:
+                try:
+                    tags[tag_text] = PosTag.parse(tag_text)
+                except ValueError:
+                    tags[tag_text] = PosTag.X
+            current.append((tokens[surface], tags[tag_text]))
     if current:
         sentences.append(TaggedSentence(tuple(current)))
     return sentences

@@ -4,7 +4,8 @@ Everything here is deliberately written with different algorithms and data
 structures than the package: BLEU by direct fraction arithmetic, METEOR by
 an exhaustive alignment DP, statistics via scipy, the tagger's argmax over
 PosTag-keyed weights with a tuple tie-break, the embedding average as a loop
-over a dict of rows, and the stemmer against published example vectors.
+over a dict of rows, the `.vec` loader and the tokenizer as per-row and
+per-chunk loops, and the stemmer against published example vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.stats
 
-from posscore.core import PosTag
+from posscore.core import PosTag, Token
+from posscore.embed import _row_problem
 
 BLEU_EPS = 1e-9
 
@@ -59,6 +61,66 @@ def sequential_average(norms: Sequence[str], rows: Mapping[str, np.ndarray], dim
         acc += count * rows[norm]
     acc /= sum(counts.values())
     return acc
+
+
+def rowwise_load_vec(path, vocab_filter: set[str] | None = None) -> tuple[dict, np.ndarray]:
+    """`load_vec`'s rules with every kept row parsed on its own by float():
+    returns (index, matrix) or raises its ValueError.
+    """
+    index: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    with open(path, encoding="utf-8") as fh:
+        parts = fh.readline().split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
+        try:
+            dim = int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line 1: non-integer dimension {parts[1]!r}") from None
+        if dim < 1:
+            raise ValueError(f"{path}: line 1: dimension must be >= 1")
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            count = line.count(" ") - line.endswith((" \n", " "))
+            if count != dim:
+                raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
+            cut = line.find(" ")
+            token = line[:cut].casefold()
+            if (vocab_filter is not None and token not in vocab_filter) or token in index:
+                continue
+            fields = line[cut + 1 :].rstrip("\n").split(" ", dim)[:dim]
+            try:
+                row = np.fromiter(map(float, fields), dtype=np.float64, count=dim)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            problem = _row_problem(row)
+            if problem:
+                raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
+            index[token] = len(rows)
+            rows.append(row)
+    return index, np.array(rows).reshape(len(rows), dim)
+
+
+_PUNCT = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
+
+
+def chunkwise_tokenize(text: str) -> list[Token]:
+    """Whitespace chunks with leading and trailing ASCII punctuation split off
+    one character per token, each chunk worked out on its own.
+    """
+    out: list[Token] = []
+    for chunk in text.split():
+        start, end = 0, len(chunk)
+        while start < end and chunk[start] in _PUNCT:
+            start += 1
+        while end > start and chunk[end - 1] in _PUNCT:
+            end -= 1
+        out.extend(Token(c) for c in chunk[:start])
+        if start < end:
+            out.append(Token(chunk[start:end]))
+        out.extend(Token(c) for c in chunk[end:])
+    return out
 
 
 def brute_meteor(

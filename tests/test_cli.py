@@ -1019,6 +1019,21 @@ class TestEmbeddingLoad:
         err = capsys.readouterr().err
         assert "bad.vec: line 3" in err and "'x'" in err
 
+    def test_value_with_a_unit_separator_exits_2(self, cli_workspace, tmp_path, capsys):
+        # np.loadtxt strips \x1c and would read 1.0; float() refuses it
+        vec = tmp_path / "bad.vec"
+        vec.write_text("2 2\ncat 1\x1c 2\nsat 1.0 0.5\n", encoding="utf-8")
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--embeddings", str(vec),
+            "--metrics", "ea",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.vec: line 2: could not convert string to float: '1\\x1c'" in err
+
     @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
     def test_non_finite_value_exits_2(self, cli_workspace, tmp_path, capsys, value):
         # a NaN row once made every `ea` score read exactly 1.0, with exit 0;

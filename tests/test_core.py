@@ -13,6 +13,8 @@ from posscore.core import (
     tokenize,
 )
 
+from oracles import chunkwise_tokenize
+
 
 class TestPosTag:
     def test_alphabet_has_17_tags(self):
@@ -98,6 +100,17 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("   ") == []
+
+    @given(st.text(max_size=80) | st.text(alphabet="aB.,!'-\"é \t\n\u2003", max_size=80))
+    def test_matches_chunkwise_oracle(self, text):
+        assert tokenize(text) == chunkwise_tokenize(text)
+
+    def test_returned_list_is_the_callers_own(self):
+        text = "the cat, the cat"
+        first = tokenize(text)
+        first[0] = Token("dog")
+        first.append(Token("!"))
+        assert [t.surface for t in tokenize(text)] == ["the", "cat", ",", "the", "cat"]
 
     @given(st.text(max_size=80))
     def test_never_emits_empty_tokens(self, text):

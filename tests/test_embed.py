@@ -1,7 +1,9 @@
 import gzip
 import math
+import os
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from posscore.embed import (
     load_vec,
 )
 
-from oracles import sequential_average
+from oracles import rowwise_load_vec, sequential_average
 
 
 def toks(*words):
@@ -156,6 +158,102 @@ class TestLoadVec:
             tracemalloc.stop()
         assert len(table) == len(wanted)
         assert peak < 1.5 * len(wanted) * dim * 8
+
+
+def load_both(path, vocab_filter=None):
+    """What load_vec and the row-wise oracle make of one file: (index, shape,
+    matrix bytes) or the ValueError text, for each. A warning fails the test.
+    """
+    out = []
+    for load in (load_vec, rowwise_load_vec):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = load(path, vocab_filter)
+        except ValueError as exc:
+            out.append(str(exc))
+            continue
+        index, matrix = (got.index, got.matrix) if isinstance(got, EmbeddingTable) else got
+        out.append((dict(index), matrix.shape, matrix.tobytes()))
+    return out
+
+
+class TestLoadVecMatchesRowwiseOracle:
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_every_code_point_in_a_value(self, tmp_path, where):
+        # one file per code point, its value between two good rows of one
+        # block; blank lines pad every file to the same length, so it is
+        # rewritten in place (a truncating write per file is much slower)
+        p = tmp_path / "t.vec"
+        p.write_bytes(b"")
+        fd = os.open(p, os.O_WRONLY)
+        accepted = 0
+        try:
+            for cp in range(0x3100):
+                c = chr(cp)
+                if c in "\n\r ":
+                    continue
+                value = {"start": c + "1.5", "middle": "1" + c + ".5", "end": "1.5" + c}[where]
+                data = f"3 3\na 1 2 3\nB 4 {value} 6\nc 7 8 9\n".encode()
+                os.pwrite(fd, data + b"\n" * (3 - len(c.encode())), 0)
+                new, old = load_both(p)
+                assert new == old, repr(c)
+                accepted += isinstance(old, tuple)
+        finally:
+            os.close(fd)
+        # digits of many scripts anywhere, and whitespace at either end
+        assert accepted > 100
+
+    @pytest.mark.parametrize("kept_row", [1, 64, 65])
+    @pytest.mark.parametrize("bad", ["x", "nan", "1\x1c", "1e200", "1_0"])
+    def test_value_at_a_block_edge(self, tmp_path, kept_row, bad):
+        # 130 kept rows between skipped and duplicate ones, some padded with
+        # a trailing space; the value sits in the first or last row of a block
+        rng = np.random.default_rng(kept_row)
+        lines = []
+        for i in range(1, 131):
+            values = [repr(float(x)) for x in rng.normal(size=3)]
+            if i == kept_row:
+                values[1] = bad
+                bad_line = len(lines) + 3  # after the header and its skipped row
+            lines += [f"skip{i} x x x", f"w{i} " + " ".join(values) + " " * (i % 3 == 0)]
+            lines += [f"W{i} 9 9 9"] * (i % 5 == 0)
+        p = tmp_path / "t.vec"
+        p.write_text(f"{len(lines)} 3\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        new, old = load_both(p, {f"w{i}" for i in range(1, 131)} | {"absent"})
+        assert new == old
+        if bad == "1_0":  # float() reads it as 10.0
+            assert len(new[0]) == 130
+        else:
+            assert f": line {bad_line}: " in new
+
+    def test_earlier_bad_value_wins_over_a_later_count_mismatch(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("4 2\na 1 2\nb 1 x\nc 3 4\nd 5\n")
+        new, old = load_both(p)
+        assert new == old == f"{p}: line 3: could not convert string to float: 'x'"
+
+    @pytest.mark.parametrize("text", ["1 1\na  \n", "2 1\na  \nb 1\n", "2 2\na   \nb 1 2\n"])
+    def test_empty_values_are_refused(self, tmp_path, text):
+        # loadtxt skips an empty row, with a warning when no row is left, and
+        # the next row's values would broadcast into its place
+        p = tmp_path / "t.vec"
+        p.write_text(text)
+        new, old = load_both(p)
+        assert new == old == f"{p}: line 2: could not convert string to float: ''"
+
+    @pytest.mark.parametrize("kept", [0, 64, 128])
+    def test_no_row_left_for_the_last_block(self, tmp_path, kept):
+        p = tmp_path / "t.vec"
+        p.write_text(f"{kept + 1} 2\n" + "".join(f"w{i} {i} 1\n" for i in range(kept)) + "skip x x\n")
+        new, old = load_both(p, {f"w{i}" for i in range(kept)})
+        assert new == old and len(new[0]) == kept
+
+    def test_unit_separator_is_not_stripped(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("2 2\ncat 1\x1c 2\ndog 3 4\n")
+        new, old = load_both(p)
+        assert new == old == f"{p}: line 2: could not convert string to float: '1\\x1c'"
 
 
 class TestFromDict:

@@ -279,6 +279,29 @@ class TestTaggedFiles:
         (sent,) = load_tagged(p)
         assert sent.tags == (PosTag.X,)
 
+    def test_equal_surfaces_share_one_token(self, tmp_path):
+        rng = random.Random(17)
+        words = ["the", "The", "cat", "sat", "É", "é", ",", "don't"]
+        tags = ["DET", "NOUN", "VERB", "AUX", "FOO", "noun", ""]
+        sents = [
+            [(rng.choice(words), rng.choice(tags)) for _ in range(rng.randint(1, 9))]
+            for _ in range(40)
+        ]
+        p = tmp_path / "tags.tsv"
+        with open(p, "w", encoding="utf-8") as fh:
+            for sent in sents:
+                fh.writelines(f"{i}\t{w}\t{t}\n" for i, (w, t) in enumerate(sent, start=1))
+                fh.write("\n")
+        loaded = load_tagged(p)
+        known = {t.value for t in PosTag}
+        expected = [[(w, t if t in known else "X") for w, t in sent] for sent in sents]
+        assert loaded == [TaggedSentence.from_strings(sent) for sent in expected]
+        by_surface = {}
+        for sent in loaded:
+            for token, _ in sent:
+                assert by_surface.setdefault(token.surface, token) is token
+        assert sorted(by_surface) == sorted(words)
+
     def test_malformed_line_number(self, tmp_path):
         p = tmp_path / "tags.tsv"
         p.write_text("1\tthe\tDET\nbroken line\n")
