@@ -42,11 +42,6 @@ class PosTag(Enum):
             raise ValueError(f"unknown POS tag {text!r}") from None
 
 
-#: The informative and interpretable tags; only these may appear in a TagSet.
-ADOPTED_TAGS = frozenset(
-    {PosTag.ADJ, PosTag.ADV, PosTag.VERB, PosTag.NOUN, PosTag.PRON, PosTag.PROPN}
-)
-
 #: Display order used for canonical TagSet names and report columns.
 TAG_DISPLAY_ORDER = (
     PosTag.ADJ,
@@ -56,6 +51,9 @@ TAG_DISPLAY_ORDER = (
     PosTag.NOUN,
     PosTag.PRON,
 )
+
+#: The informative and interpretable tags; only these may appear in a TagSet.
+ADOPTED_TAGS = frozenset(TAG_DISPLAY_ORDER)
 
 
 @dataclass(frozen=True)

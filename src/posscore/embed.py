@@ -199,6 +199,8 @@ def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> Sentenc
     the whole sequence scales every intermediate by an exact power of two
     and the result is bit-for-bit unchanged.
     """
+    if table is None:
+        raise ValueError("average embeddings need an embedding table, got none")
     counts: dict[int, int] = {}
     for tok in tokens:
         if (row := table.index.get(tok.norm)) is not None:

@@ -9,8 +9,10 @@ scores; a POS distribution helper backs the corpus analyses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .core import EvaluationSet, PosTag, TaggedSentence, TagSet
 
@@ -98,25 +100,19 @@ def _betacf(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for num in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             break
     return h
@@ -174,68 +170,41 @@ def bonferroni(p: float, comparisons: int) -> float:
     return min(1.0, p * comparisons)
 
 
-def _merge_count_inversions(values: list[float]) -> int:
-    """Count strict inversions via mergesort. Mutates its argument (sorts it)."""
-    n = len(values)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left = values[:mid]
-    right = values[mid:]
-    inversions = _merge_count_inversions(left) + _merge_count_inversions(right)
-    i = j = k = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            values[k] = left[i]
-            i += 1
-        else:
-            values[k] = right[j]
-            j += 1
-            inversions += len(left) - i
-        k += 1
-    while i < len(left):
-        values[k] = left[i]
-        i += 1
-        k += 1
-    while j < len(right):
-        values[k] = right[j]
-        j += 1
-        k += 1
-    return inversions
+def _tied_pairs(values: Iterable) -> int:
+    return sum(k * (k - 1) // 2 for k in Counter(values).values())
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Kendall's tau-b (tie-corrected), computed in O(n log n) via Knight's
     algorithm. Degenerate input (all x tied or all y tied) returns 0.0.
+    Raises ValueError for values that are not finite.
     """
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 observations")
+    if not all(map(math.isfinite, chain(x, y))):
+        raise ValueError("kendall_tau needs finite values")
     pairs = sorted(zip(x, y))
-
-    def tie_term(sorted_vals: list) -> int:
-        total = 0
-        run = 1
-        for i in range(1, len(sorted_vals) + 1):
-            if i < len(sorted_vals) and sorted_vals[i] == sorted_vals[i - 1]:
-                run += 1
-            else:
-                total += run * (run - 1) // 2
-                run = 1
-        return total
-
     n0 = n * (n - 1) // 2
-    n1 = tie_term([p[0] for p in pairs])
-    # joint ties: runs of equal (x, y)
-    n3 = tie_term(pairs)
-    ys = [p[1] for p in pairs]
-    n2 = tie_term(sorted(ys))
+    n1, n2, n3 = _tied_pairs(x), _tied_pairs(y), _tied_pairs(pairs)
 
     # Discordant pairs = inversions of y after sorting by (x, y); pairs tied
     # in x contribute no inversions because their y values are pre-sorted.
-    discordant = _merge_count_inversions(ys[:])
+    # A Fenwick tree over the ranks of y counts the earlier values at or below each y.
+    rank = {v: r for r, v in enumerate(sorted(set(y)), 1)}
+    tree = [0] * (len(rank) + 1)
+    discordant = 0
+    for seen, (_, value) in enumerate(pairs):
+        i = r = rank[value]
+        while i:
+            discordant -= tree[i]
+            i &= i - 1
+        discordant += seen
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
     concordant_minus_discordant = n0 - n1 - n2 + n3 - 2 * discordant
 
     denom = math.sqrt((n0 - n1) * (n0 - n2))

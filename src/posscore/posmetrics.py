@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .basemetrics import (
     MetricScore,
@@ -32,29 +32,37 @@ BASE_METRIC_IDS = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "ea")
 _HARD_BASES = frozenset({"bleu1", "bleu2", "bleu3", "bleu4"})
 
 
+#: One token per POS tag: PTLC scores tag sequences as token sequences.
+_TAG_TOKENS = {tag: Token(tag.value) for tag in PosTag}
+
+
 @dataclass(frozen=True)
 class PosSplit:
-    """One response partitioned into POS words and the rest."""
+    """A response's POS words and other words, and its POS tags as tokens."""
 
-    pos_words: tuple[Token, ...]
-    pos_tags: tuple[PosTag, ...]
-    non_pos_words: tuple[Token, ...]
+    pos_words: PreparedTokens
+    non_pos_words: PreparedTokens
+    tag_tokens: tuple[Token, ...]
 
 
-def pos_split(sentence: TaggedSentence, tags: TagSet) -> PosSplit:
+def pos_split(
+    sentence: TaggedSentence, tags: TagSet, stems: dict[str, str] | None = None
+) -> PosSplit:
     """Partition a tagged response into POS words (tag in tags) and the rest,
-    keeping order.
+    keeping order, as prepared tokens that share the norm -> stem dict stems.
     """
     pos_words: list[Token] = []
-    pos_tags: list[PosTag] = []
+    tag_tokens: list[Token] = []
     non_pos_words: list[Token] = []
     for token, tag in sentence:
         if tag in tags:
             pos_words.append(token)
-            pos_tags.append(tag)
+            tag_tokens.append(_TAG_TOKENS[tag])
         else:
             non_pos_words.append(token)
-    return PosSplit(tuple(pos_words), tuple(pos_tags), tuple(non_pos_words))
+    return PosSplit(
+        PreparedTokens(pos_words, stems), PreparedTokens(non_pos_words, stems), tuple(tag_tokens)
+    )
 
 
 def pos_weight(n_ref: float, n_cand: float) -> float:
@@ -74,18 +82,6 @@ def pos_weight(n_ref: float, n_cand: float) -> float:
     return math.exp(1.0 - n_ref / n_cand)
 
 
-#: One token per POS tag: PTLC scores tag sequences as token sequences.
-_TAG_TOKENS = {tag: Token(tag.value) for tag in PosTag}
-
-
-class PreparedSplit(NamedTuple):
-    """A prepared sentence's POS split, with both sides as prepared tokens."""
-
-    pos_words: PreparedTokens
-    non_pos_words: PreparedTokens
-    tag_tokens: tuple[Token, ...]
-
-
 class PreparedSentence(PreparedTokens):
     """A tagged response prepared once for every metric that scores it.
 
@@ -101,18 +97,13 @@ class PreparedSentence(PreparedTokens):
     def __init__(self, tagged: TaggedSentence, stems: dict[str, str] | None = None) -> None:
         super().__init__(tagged.tokens, stems)
         self.tagged = tagged
-        self._splits: dict[TagSet, PreparedSplit] = {}
+        self._splits: dict[TagSet, PosSplit] = {}
 
-    def split(self, tags: TagSet) -> PreparedSplit:
-        prepared = self._splits.get(tags)
-        if prepared is None:
-            split = pos_split(self.tagged, tags)
-            prepared = self._splits[tags] = PreparedSplit(
-                PreparedTokens(split.pos_words, self._stem_dict),
-                PreparedTokens(split.non_pos_words, self._stem_dict),
-                tuple(_TAG_TOKENS[t] for t in split.pos_tags),
-            )
-        return prepared
+    def split(self, tags: TagSet) -> PosSplit:
+        split = self._splits.get(tags)
+        if split is None:
+            split = self._splits[tags] = pos_split(self.tagged, tags, self._stem_dict)
+        return split
 
 
 Sentence = TaggedSentence | PreparedSentence
@@ -131,8 +122,6 @@ def _score_base(
 ) -> MetricScore:
     if base not in BASE_METRIC_IDS:
         raise ValueError(f"unknown base metric {base!r}; expected one of {BASE_METRIC_IDS}")
-    if base == "ea" and table is None:
-        raise ValueError("base metric 'ea' requires an embedding table")
     return Metric(base).score(reference, candidate, table, synonyms)
 
 
@@ -179,7 +168,7 @@ def ptlc(
     )
 
 
-def _pos_fraction(sentence: PreparedSentence, split: PreparedSplit, count_punct: bool) -> float:
+def _pos_fraction(sentence: PreparedSentence, split: PosSplit, count_punct: bool) -> float:
     """The POS-word fraction of a response; with count_punct off, PUNCT-tagged
     tokens are left out of the denominator.
     """

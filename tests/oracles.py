@@ -2,10 +2,12 @@
 
 Everything here is deliberately written with different algorithms and data
 structures than the package: BLEU by direct fraction arithmetic, METEOR by
-an exhaustive alignment DP, statistics via scipy, the tagger's argmax over
-PosTag-keyed weights with a tuple tie-break, the embedding average as a loop
-over a dict of rows, the `.vec` loader and the tokenizer as per-row and
-per-chunk loops, and the stemmer against published example vectors.
+an exhaustive alignment DP, statistics via scipy and, bit for bit, Kendall
+tau by merge-sort inversions and the t tail by a two-block continued
+fraction, the tagger's argmax over PosTag-keyed weights with a tuple
+tie-break, the embedding average as a loop over a dict of rows, the `.vec`
+loader and the tokenizer as per-row and per-chunk loops, and the stemmer
+against published example vectors.
 """
 
 from __future__ import annotations
@@ -196,6 +198,126 @@ def scipy_kendall_tau(x: list[float], y: list[float]) -> float:
 def scipy_t_sf2(t: float, df: int) -> float:
     """Two-sided t tail probability from scipy."""
     return float(2.0 * scipy.stats.t.sf(abs(t), df))
+
+
+def _mergesort_inversions(values: list) -> int:
+    """Strict inversions of values by a recursive merge sort; sorts values."""
+    n = len(values)
+    if n < 2:
+        return 0
+    mid = n // 2
+    left = values[:mid]
+    right = values[mid:]
+    inversions = _mergesort_inversions(left) + _mergesort_inversions(right)
+    i = j = k = 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            values[k] = left[i]
+            i += 1
+        else:
+            values[k] = right[j]
+            j += 1
+            inversions += len(left) - i
+        k += 1
+    while i < len(left):
+        values[k] = left[i]
+        i += 1
+        k += 1
+    while j < len(right):
+        values[k] = right[j]
+        j += 1
+        k += 1
+    return inversions
+
+
+def _sorted_run_ties(sorted_vals: list) -> int:
+    """Pairs of equal neighbours' runs in a sorted list: sum of k(k-1)/2."""
+    total = 0
+    run = 1
+    for i in range(1, len(sorted_vals) + 1):
+        if i < len(sorted_vals) and sorted_vals[i] == sorted_vals[i - 1]:
+            run += 1
+        else:
+            total += run * (run - 1) // 2
+            run = 1
+    return total
+
+
+def mergesort_kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
+    """Knight's tau-b with run-scanned ties and merge-sort inversions, the
+    package's earlier implementation, kept to check the new one bit for bit.
+    """
+    n = len(x)
+    pairs = sorted(zip(x, y))
+    n0 = n * (n - 1) // 2
+    n1 = _sorted_run_ties([p[0] for p in pairs])
+    n3 = _sorted_run_ties(pairs)
+    ys = [p[1] for p in pairs]
+    n2 = _sorted_run_ties(sorted(ys))
+    discordant = _mergesort_inversions(ys[:])
+    denom = math.sqrt((n0 - n1) * (n0 - n2))
+    if denom == 0.0:
+        return 0.0
+    return (n0 - n1 - n2 + n3 - 2 * discordant) / denom
+
+
+def _two_block_betacf(x: float, a: float, b: float) -> float:
+    """Lentz's continued fraction with the even and odd steps written out,
+    the package's earlier implementation.
+    """
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        num = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return h
+
+
+def two_block_t_sf2(t: float, df: float) -> float:
+    """Two-sided t tail probability through the two-block continued fraction,
+    the package's earlier implementation of `student_t_sf2`.
+    """
+    if t == 0.0:
+        return 1.0
+    x = df / (df + t * t)
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    front = math.exp(
+        a * math.log(x) + b * math.log(1.0 - x)
+        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _two_block_betacf(x, a, b) / a
+    return 1.0 - front * _two_block_betacf(1.0 - x, b, a) / b
 
 
 _TAG_ORDER = {tag: i for i, tag in enumerate(PosTag)}

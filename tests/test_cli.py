@@ -1268,9 +1268,9 @@ class TestPrepareOnce:
             stemmed.append(word)
             return real_stem(word)
 
-        def counting_split(sentence, tags):
+        def counting_split(sentence, tags, *args):
             splits.append(tags)
-            return real_split(sentence, tags)
+            return real_split(sentence, tags, *args)
 
         monkeypatch.setattr(basemetrics, "porter_stem", counting_stem)
         monkeypatch.setattr(posmetrics, "pos_split", counting_split)

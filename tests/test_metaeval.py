@@ -16,7 +16,13 @@ from posscore.metaeval import (
 )
 
 from conftest import tag_text
-from oracles import scipy_kendall_tau, scipy_paired_ttest, scipy_t_sf2
+from oracles import (
+    mergesort_kendall_tau,
+    scipy_kendall_tau,
+    scipy_paired_ttest,
+    scipy_t_sf2,
+    two_block_t_sf2,
+)
 
 
 def make_set(i, human_a, human_b):
@@ -172,6 +178,22 @@ class TestStudentTsf2:
                 want = scipy_t_sf2(t, df)
                 assert got == pytest.approx(want, abs=1e-8), (t, df)
 
+    def test_matches_two_block_oracle_bit_for_bit(self):
+        # both continued-fraction branches, the x <= 0 and x >= 1 edges, and
+        # the df values a paired t-test on 2, 3, 400 and 10,000 sets uses
+        ts = (1e-300, 1e-8, 0.01, 0.3, 0.7, 1.0, 1.96, 2.2, 4.0, 6.0, 40.0, 1e8, 1e200)
+        for df in (1, 2, 3, 4.5, 9, 30, 100, 399, 1000, 9999, 250_000):
+            for t in ts + tuple(-t for t in ts):
+                got, want = student_t_sf2(t, df), two_block_t_sf2(t, df)
+                assert got.hex() == want.hex(), (t, df)
+
+    @given(
+        st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+        st.integers(min_value=1, max_value=20_000),
+    )
+    def test_matches_two_block_oracle_on_random_input(self, t, df):
+        assert student_t_sf2(t, df).hex() == two_block_t_sf2(t, df).hex()
+
     def test_zero_statistic(self):
         assert student_t_sf2(0.0, 9) == 1.0
 
@@ -224,6 +246,37 @@ class TestKendallTau:
     def test_too_short(self):
         with pytest.raises(ValueError):
             kendall_tau([1], [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau([1.0, 2.0, 3.0], [1.0, 2.0, bad])
+
+    def test_matches_mergesort_oracle_bit_for_bit(self):
+        # heavy ties, -0.0 next to 0.0, ints next to floats, n from 2 to 300
+        rng = random.Random(31)
+        for _ in range(1500):
+            n = rng.randint(2, 300)
+            values = (0.0, -0.0, 1, 0.5, -2.0, rng.random())
+            pool = [rng.choice(values) for _ in range(rng.randint(1, 6))]
+            x = [rng.choice(pool) for _ in range(n)]
+            y = [rng.choice(pool) if rng.random() < 0.7 else rng.random() for _ in range(n)]
+            assert kendall_tau(x, y).hex() == mergesort_kendall_tau(x, y).hex(), (x, y)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from((0.0, -0.0, 1.0, -1.5, 2.0)), st.floats(-1e6, 1e6)),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    def test_matches_mergesort_oracle_on_random_input(self, pairs):
+        x = [p[0] for p in pairs]
+        y = [p[1] for p in pairs]
+        assert kendall_tau(x, y).hex() == mergesort_kendall_tau(x, y).hex()
+        assert kendall_tau(y, x).hex() == mergesort_kendall_tau(y, x).hex()
 
     def test_matches_scipy_with_ties(self):
         rng = random.Random(23)

@@ -17,6 +17,7 @@ from posscore.posmetrics import (
     posscore,
     ptlc,
     pwe,
+    score_sets,
 )
 
 from conftest import random_tagged_sentence, tag_text
@@ -34,14 +35,14 @@ class TestPosSplit:
     def test_fraction_and_partition(self, toy_table):
         s = tag_text("The big cat sat on the mat .")
         split = pos_split(s, DEFAULT)
-        assert [t.norm for t in split.pos_words] == ["big", "cat", "sat", "mat"]
-        assert len(split.pos_words) + len(split.non_pos_words) == len(s) == 8
+        assert [t.norm for t in split.pos_words.tokens] == ["big", "cat", "sat", "mat"]
+        assert len(split.pos_words.tokens) + len(split.non_pos_words.tokens) == len(s) == 8
         details = posscore(s, s, DEFAULT, toy_table).details
         assert details["n_ref"] == details["n_cand"] == pytest.approx(0.5)
 
     def test_count_punct_off_shrinks_denominator(self, toy_table):
         s = tag_text("The cat sat .")
-        assert len(s) == 4 and len(pos_split(s, DEFAULT).pos_words) == 2
+        assert len(s) == 4 and len(pos_split(s, DEFAULT).pos_words.tokens) == 2
         on = posscore(s, s, DEFAULT, toy_table).details
         off = posscore(s, s, DEFAULT, toy_table, count_punct=False).details
         assert off["n_ref"] == off["n_cand"] == pytest.approx(2 / 3)
@@ -52,18 +53,18 @@ class TestPosSplit:
             [("the", "DET"), ("cat", "NOUN"), ("sat", "VERB"), (".", "PUNCT")]
         )
         split = pos_split(sent, TagSet.parse("noun+verb"))
-        assert [t.surface for t in split.pos_words] == ["cat", "sat"]
-        assert split.pos_tags == (PosTag.NOUN, PosTag.VERB)
-        assert [t.surface for t in split.non_pos_words] == ["the", "."]
+        assert [t.surface for t in split.pos_words.tokens] == ["cat", "sat"]
+        assert split.tag_tokens == (Token("NOUN"), Token("VERB"))
+        assert [t.surface for t in split.non_pos_words.tokens] == ["the", "."]
         # every token lands on exactly one side
-        assert len(split.pos_words) + len(split.non_pos_words) == len(sent)
+        assert len(split.pos_words.tokens) + len(split.non_pos_words.tokens) == len(sent)
 
     def test_monotone_in_tagset(self):
         sent = TaggedSentence.from_strings(
             [("big", "ADJ"), ("dogs", "NOUN"), ("run", "VERB"), ("fast", "ADV")]
         )
-        small = pos_split(sent, TagSet.parse("noun")).pos_words
-        large = pos_split(sent, TagSet.parse("noun+verb+adj+adv")).pos_words
+        small = pos_split(sent, TagSet.parse("noun")).pos_words.tokens
+        large = pos_split(sent, TagSet.parse("noun+verb+adj+adv")).pos_words.tokens
         assert {t.surface for t in small} <= {t.surface for t in large}
 
     def test_empty_sentence(self, toy_table):
@@ -74,7 +75,7 @@ class TestPosSplit:
 
     def test_empty_sentence_splits_to_nothing(self):
         split = pos_split(TaggedSentence(()), DEFAULT)
-        assert split.pos_words == () and split.pos_tags == () and split.non_pos_words == ()
+        assert split.pos_words.tokens == () and split.tag_tokens == () and split.non_pos_words.tokens == ()
 
 
 class TestPosWeight:
@@ -172,6 +173,34 @@ class TestPwe:
         s = tag_text("the cat")
         with pytest.raises(ValueError):
             pwe(s, s, NOUN_VERB, "ea")
+
+
+class TestNoEmbeddingTable:
+    """Every scorer that averages embeddings refuses a missing table with a
+    ValueError from the one function that reads it.
+    """
+
+    MESSAGE = "average embeddings need an embedding table"
+
+    def test_ea_metric(self):
+        tokens = tag_text("the cat sat").tokens
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            Metric("ea").score(tokens, tokens)
+
+    def test_posscore(self):
+        s = tag_text("the cat sat")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            posscore(s, s, DEFAULT, None)
+
+    def test_score_sets(self):
+        s = tag_text("the cat sat")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            score_sets([Metric.parse("posscore", DEFAULT)], [("s1", s, s, s)])
+
+    def test_embedding_average(self):
+        tokens = tag_text("the cat sat").tokens
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            embedding_average(tokens, tokens, None)
 
 
 class TestPtlc:
