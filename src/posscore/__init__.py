@@ -53,7 +53,6 @@ from .metaeval import (
 from .posmetrics import (
     Metric,
     PosSplit,
-    PreparedSentence,
     pos_split,
     pos_weight,
     posscore,
@@ -90,7 +89,6 @@ __all__ = [
     "PosSplit",
     "PosTag",
     "PowerResult",
-    "PreparedSentence",
     "PreparedTokens",
     "SentenceVector",
     "SynonymLexicon",

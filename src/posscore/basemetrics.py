@@ -22,7 +22,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import Token
+from .core import TaggedSentence, Token
 from .embed import EmbeddingTable, SentenceVector, average_embedding, cosine
 from .stem import porter_stem
 
@@ -51,24 +51,30 @@ class MetricScore:
 
 
 class PreparedTokens:
-    """A token sequence prepared once for every base metric that scores it.
+    """A response, tagged or not, prepared once for every metric that scores it.
 
-    Every base metric accepts it wherever it takes tokens. Its Porter stems
-    its k-gram counts and its average embedding are computed on first use
-    and then kept. The stems are looked up in `stems`, a norm -> stem dict
-    that callers may share between sequences so that each distinct word is
-    stemmed once. The average is kept for the last table it was asked for.
+    Every scorer accepts it wherever it takes tokens or a TaggedSentence;
+    `tagged` is the sentence it was made from, None for plain tokens. Its
+    Porter stems, k-gram counts, average embedding and POS splits (one per
+    tag set) are computed on first use and then kept. The stems are looked
+    up in `stems`, a norm -> stem dict that callers may share between
+    responses so that each distinct word is stemmed once. The average is
+    kept for the last table it was asked for.
     """
 
-    __slots__ = ("tokens", "norms", "_stem_dict", "_stems", "_ngrams", "_average")
+    __slots__ = ("tokens", "tagged", "norms", "_stem_dict", "_stems", "_ngrams", "_average", "_splits")
 
-    def __init__(self, tokens: Iterable[Token], stems: dict[str, str] | None = None) -> None:
-        self.tokens = tuple(tokens)
+    def __init__(
+        self, tokens_or_tagged: Iterable[Token] | TaggedSentence, stems: dict[str, str] | None = None
+    ) -> None:
+        self.tagged = tokens_or_tagged if isinstance(tokens_or_tagged, TaggedSentence) else None
+        self.tokens = tuple(tokens_or_tagged) if self.tagged is None else self.tagged.tokens
         self.norms = [t.norm for t in self.tokens]
         self._stem_dict = {} if stems is None else stems
         self._stems: list[str] | None = None
         self._ngrams: dict[int, Counter] = {}
         self._average: tuple[EmbeddingTable, SentenceVector] | None = None
+        self._splits: dict = {}  # TagSet -> PosSplit, filled by posmetrics._split
 
     @property
     def stems(self) -> list[str]:
@@ -86,7 +92,7 @@ class PreparedTokens:
         return self._average[1]
 
 
-Tokens = Sequence[Token] | PreparedTokens
+Tokens = Sequence[Token] | TaggedSentence | PreparedTokens
 
 
 def _prepared(tokens: Tokens) -> PreparedTokens:

@@ -19,6 +19,7 @@ from .basemetrics import (
     PreparedTokens,
     SynonymLexicon,
     Tokens,
+    _prepared,
     bleu_n,
     embedding_average,
     meteor,
@@ -50,7 +51,10 @@ def pos_split(
 ) -> PosSplit:
     """Partition a tagged response into POS words (tag in tags) and the rest,
     keeping order, as prepared tokens that share the norm -> stem dict stems.
+    Raises ValueError for untagged tokens.
     """
+    if not isinstance(sentence, TaggedSentence):
+        raise ValueError("POS metrics need a tagged sentence, got untagged tokens")
     pos_words: list[Token] = []
     tag_tokens: list[Token] = []
     non_pos_words: list[Token] = []
@@ -82,66 +86,31 @@ def pos_weight(n_ref: float, n_cand: float) -> float:
     return math.exp(1.0 - n_ref / n_cand)
 
 
-class PreparedSentence(PreparedTokens):
-    """A tagged response prepared once for every metric that scores it.
-
-    Every public scorer accepts it wherever it takes tokens or a
-    TaggedSentence. On top of the prepared tokens it keeps one `pos_split`
-    per tag set asked for, with the POS words and the other words as
-    prepared tokens that share the sentence's stem dict, so their average
-    embeddings are computed once.
-    """
-
-    __slots__ = ("tagged", "_splits")
-
-    def __init__(self, tagged: TaggedSentence, stems: dict[str, str] | None = None) -> None:
-        super().__init__(tagged.tokens, stems)
-        self.tagged = tagged
-        self._splits: dict[TagSet, PosSplit] = {}
-
-    def split(self, tags: TagSet) -> PosSplit:
-        split = self._splits.get(tags)
-        if split is None:
-            split = self._splits[tags] = pos_split(self.tagged, tags, self._stem_dict)
-        return split
-
-
-Sentence = TaggedSentence | PreparedSentence
-
-
-def _prepared(sentence: Sentence) -> PreparedSentence:
-    return sentence if isinstance(sentence, PreparedSentence) else PreparedSentence(sentence)
-
-
-def _score_base(
-    base: str,
-    reference: PreparedTokens,
-    candidate: PreparedTokens,
-    table: EmbeddingTable | None,
-    synonyms: SynonymLexicon | None,
-) -> MetricScore:
-    if base not in BASE_METRIC_IDS:
-        raise ValueError(f"unknown base metric {base!r}; expected one of {BASE_METRIC_IDS}")
-    return Metric(base).score(reference, candidate, table, synonyms)
+def _split(prepared: PreparedTokens, tags: TagSet) -> PosSplit:
+    """prepared's POS split on tags, kept on it for every POS metric to share."""
+    split = prepared._splits.get(tags)
+    if split is None:
+        split = prepared._splits[tags] = pos_split(prepared.tagged, tags, prepared._stem_dict)
+    return split
 
 
 def pwe(
-    reference: Sentence,
-    candidate: Sentence,
+    reference: Tokens,
+    candidate: Tokens,
     tags: TagSet,
     base: str,
     table: EmbeddingTable | None = None,
     synonyms: SynonymLexicon | None = None,
 ) -> MetricScore:
     """POS Word Extraction: run the base metric on the POS words alone."""
-    ref = _prepared(reference).split(tags)
-    cand = _prepared(candidate).split(tags)
-    return _score_base(base, ref.pos_words, cand.pos_words, table, synonyms)
+    ref = _split(_prepared(reference), tags)
+    cand = _split(_prepared(candidate), tags)
+    return Metric(base).score(ref.pos_words, cand.pos_words, table, synonyms)
 
 
 def ptlc(
-    reference: Sentence,
-    candidate: Sentence,
+    reference: Tokens,
+    candidate: Tokens,
     tags: TagSet,
     base: str,
     table: EmbeddingTable | None = None,
@@ -154,13 +123,13 @@ def ptlc(
     or ea, the base score on the POS words and a BLEU-1 score on the tag
     sequences are added, unweighted (soft variant).
     """
-    ref = _prepared(reference).split(tags)
-    cand = _prepared(candidate).split(tags)
+    ref = _split(_prepared(reference), tags)
+    cand = _split(_prepared(candidate), tags)
     if base in _HARD_BASES:
         ref_seq = ref.pos_words.tokens + ref.tag_tokens
         cand_seq = cand.pos_words.tokens + cand.tag_tokens
         return bleu_n(ref_seq, cand_seq, int(base[-1]))
-    text = _score_base(base, ref.pos_words, cand.pos_words, table, synonyms)
+    text = Metric(base).score(ref.pos_words, cand.pos_words, table, synonyms)
     tag_score = bleu_n(ref.tag_tokens, cand.tag_tokens, 1)
     return MetricScore(
         text.value + tag_score.value,
@@ -168,7 +137,7 @@ def ptlc(
     )
 
 
-def _pos_fraction(sentence: PreparedSentence, split: PosSplit, count_punct: bool) -> float:
+def _pos_fraction(sentence: PreparedTokens, split: PosSplit, count_punct: bool) -> float:
     """The POS-word fraction of a response; with count_punct off, PUNCT-tagged
     tokens are left out of the denominator.
     """
@@ -180,8 +149,8 @@ def _pos_fraction(sentence: PreparedSentence, split: PosSplit, count_punct: bool
 
 
 def posscore(
-    reference: Sentence,
-    candidate: Sentence,
+    reference: Tokens,
+    candidate: Tokens,
     tags: TagSet,
     table: EmbeddingTable,
     count_punct: bool = True,
@@ -192,7 +161,7 @@ def posscore(
     conventions are flagged in the details map.
     """
     reference, candidate = _prepared(reference), _prepared(candidate)
-    ref, cand = reference.split(tags), candidate.split(tags)
+    ref, cand = _split(reference, tags), _split(candidate, tags)
     n_ref = _pos_fraction(reference, ref, count_punct)
     n_cand = _pos_fraction(candidate, cand, count_punct)
     weight = pos_weight(n_ref, n_cand)
@@ -217,12 +186,28 @@ def posscore(
 class Metric:
     """One metric: a base metric alone, or a POS metric family with its tag
     set (and, for pwe and ptlc, its base metric). It parses and writes the
-    metric id, says what the metric needs, and scores it.
+    metric id, says what the metric needs, and scores it. Fields that do not
+    fit raise ValueError: a base id takes no base and no tag set, posscore a
+    tag set and no base, pwe and ptlc a base from BASE_METRIC_IDS and a tag set.
     """
 
     family: str  # a base metric id, "posscore", "pwe" or "ptlc"
     base: str | None = None
     tagset: TagSet | None = None
+
+    def __post_init__(self) -> None:
+        takes_base = self.family in ("pwe", "ptlc")
+        takes_tags = takes_base or self.family == "posscore"
+        if (self.base is not None) != takes_base or (self.tagset is not None) != takes_tags:
+            raise ValueError(
+                f"metric {self.family!r} takes {'a' if takes_base else 'no'} base metric"
+                f" and {'a' if takes_tags else 'no'} tag set"
+            )
+        base = self.base if takes_base else self.family
+        if self.family != "posscore" and base not in BASE_METRIC_IDS:
+            raise ValueError(
+                f"unknown base metric {base!r}; expected one of {', '.join(BASE_METRIC_IDS)}"
+            )
 
     @classmethod
     def parse(cls, spec: str, default_tagset: TagSet) -> Metric:
@@ -241,12 +226,7 @@ class Metric:
         if head in ("pwe", "ptlc"):
             if len(rest) not in (1, 2):
                 raise ValueError(f"{head} needs the form {head}:<base>[:<tagset>], got {spec!r}")
-            base = rest[0]
-            if base not in BASE_METRIC_IDS:
-                raise ValueError(
-                    f"unknown base metric {base!r}; expected one of {', '.join(BASE_METRIC_IDS)}"
-                )
-            return cls(head, base, TagSet.parse(rest[1]) if len(rest) == 2 else default_tagset)
+            return cls(head, rest[0], TagSet.parse(rest[1]) if len(rest) == 2 else default_tagset)
         raise ValueError(f"unknown metric id {spec!r}")
 
     @property
@@ -268,15 +248,15 @@ class Metric:
 
     def score(
         self,
-        reference: Sentence | Tokens,
-        candidate: Sentence | Tokens,
+        reference: Tokens,
+        candidate: Tokens,
         table: EmbeddingTable | None = None,
         synonyms: SynonymLexicon | None = None,
         count_punct: bool = True,
     ) -> MetricScore:
         """Score one candidate against the reference. Each scorer reads only
         the resources it needs. A POS metric takes tagged sentences and a base
-        metric tokens; a PreparedSentence serves both.
+        metric tokens or tagged sentences; a PreparedTokens serves both.
         """
         # each scorer is looked up by its module name at call time, so a
         # wrapper bound to that name (the benchmark's tracer) sees the call
@@ -306,9 +286,8 @@ def score_sets(
 ) -> dict[str, dict[str, tuple[float, float]]]:
     """Score every metric on both candidates of each (id, ref, a, b) set.
 
-    Scoring runs set by set. Each response is prepared once, and the
-    prepared form is dropped when its set is done. Tagged sentences become
-    PreparedSentence and token lists become PreparedTokens. The only state
+    Scoring runs set by set. Each response is prepared once, as one
+    PreparedTokens that is dropped when its set is done. The only state
     kept for the whole call is the norm -> stem dict, so each distinct word
     is stemmed once. Returns metric id -> set id -> (score a, score b).
     """
@@ -316,10 +295,7 @@ def score_sets(
     targets = [(scores[m.metric_id], m) for m in metrics]
     stems: dict[str, str] = {}
     for set_id, *sentences in sets:
-        ref, a, b = (
-            PreparedSentence(s, stems) if isinstance(s, TaggedSentence) else PreparedTokens(s, stems)
-            for s in sentences
-        )
+        ref, a, b = (PreparedTokens(s, stems) for s in sentences)
         for out, m in targets:
             out[set_id] = (
                 m.score(ref, a, table, synonyms, count_punct).value,

@@ -5,13 +5,12 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from posscore.basemetrics import bleu_n, embedding_average, meteor
+from posscore.basemetrics import PreparedTokens, bleu_n, embedding_average, meteor
 from posscore.core import PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
 from posscore.posmetrics import (
     BASE_METRIC_IDS,
     Metric,
-    PreparedSentence,
     pos_split,
     pos_weight,
     posscore,
@@ -338,7 +337,7 @@ class TestPreparedSentence:
         stems = {}
         for _ in range(40):
             ref, cand = random_tagged_sentence(rng), random_tagged_sentence(rng)
-            p_ref, p_cand = PreparedSentence(ref, stems), PreparedSentence(cand, stems)
+            p_ref, p_cand = PreparedTokens(ref, stems), PreparedTokens(cand, stems)
             for tags in (DEFAULT, NOUN_VERB, FULL):
                 for count_punct in (False, True):
                     assert posscore(p_ref, p_cand, tags, toy_table, count_punct) == posscore(
@@ -385,3 +384,59 @@ class TestMetricParse:
     def test_malformed_id_raises(self, spec, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Metric.parse(spec, DEFAULT)
+
+
+class TestInputThatDoesNotFit:
+    """Library calls with input a metric cannot take raise ValueError, never
+    an internal AttributeError or TypeError.
+    """
+
+    def test_base_metrics_score_a_tagged_sentence_as_its_tokens(self, toy_table):
+        ref, cand = tag_text("the big cat sat on the mat ."), tag_text("a cat sat .")
+        plain = (list(ref.tokens), list(cand.tokens))
+        for n in (1, 2, 3, 4):
+            assert Metric(f"bleu{n}").score(ref, cand) == Metric(f"bleu{n}").score(*plain)
+            assert bleu_n(ref, cand, n) == bleu_n(*plain, n)
+        assert Metric("meteor").score(ref, cand) == meteor(ref, cand) == meteor(*plain)
+        assert embedding_average(ref, cand, toy_table) == embedding_average(*plain, toy_table)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, table: posscore(s, s, DEFAULT, table),
+        lambda s, table: pwe(s, s, DEFAULT, "bleu1"),
+        lambda s, table: ptlc(s, s, DEFAULT, "meteor"),
+        lambda s, table: Metric.parse("pwe:bleu1", DEFAULT).score(s, s),
+        lambda s, table: score_sets([Metric.parse("posscore", DEFAULT)], [("s1", s, s, s)], table),
+    ], ids=["posscore", "pwe", "ptlc", "metric-score", "score_sets"])
+    def test_pos_metrics_refuse_untagged_tokens(self, call, toy_table):
+        tokens = list(tag_text("the cat sat .").tokens)
+        with pytest.raises(ValueError, match="^POS metrics need a tagged sentence, got untagged tokens$"):
+            call(tokens, toy_table)
+
+    @pytest.mark.parametrize("fields, message", [
+        (("pwe", "bleu1"), "metric 'pwe' takes a base metric and a tag set"),
+        (("ptlc", None, DEFAULT), "metric 'ptlc' takes a base metric and a tag set"),
+        (("posscore",), "metric 'posscore' takes no base metric and a tag set"),
+        (("posscore", "bleu1", DEFAULT), "metric 'posscore' takes no base metric and a tag set"),
+        (("bleu1", None, DEFAULT), "metric 'bleu1' takes no base metric and no tag set"),
+        (("meteor", "bleu1"), "metric 'meteor' takes no base metric and no tag set"),
+        (("rouge",), "unknown base metric 'rouge'; expected one of " + ", ".join(BASE_METRIC_IDS)),
+        (("pwe", "posscore", DEFAULT), "unknown base metric 'posscore'; expected one of "
+         + ", ".join(BASE_METRIC_IDS)),
+    ])
+    def test_constructor_refuses_fields_that_do_not_fit(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Metric(*fields)
+
+    def test_unknown_base_has_one_message(self):
+        s = tag_text("the cat sat")
+        raised = []
+        for call in (
+            lambda: Metric.parse("pwe:rouge", DEFAULT),
+            lambda: pwe(s, s, DEFAULT, "rouge"),
+            lambda: ptlc(s, s, DEFAULT, "rouge"),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            raised.append(str(info.value))
+        assert raised[0] == "unknown base metric 'rouge'; expected one of " + ", ".join(BASE_METRIC_IDS)
+        assert raised == [raised[0]] * 3
