@@ -63,11 +63,6 @@ ENV_DATA_DIR = "POSSCORE_DATA_DIR"
 DEFAULT_METRICS = "bleu1,bleu2,bleu3,bleu4,meteor"
 DEFAULT_GROUPS = "reference,good,bad"
 
-
-class ConfigError(Exception):
-    """Invalid configuration or input; reported on stderr with exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # flag values: argparse converts each once, from the command line and from a
 # config file alike, and reports a bad one as "argument --flag: ..."
@@ -107,12 +102,11 @@ def _positive_int(value: str) -> int:
 
 
 def _parse_tagset(name: str) -> TagSet:
-    # raises ConfigError, which argparse passes through, so the message keeps
-    # the flag name and TagSet.parse's reason
+    # argparse reports a ValueError as "invalid value"; keep TagSet.parse's reason
     try:
         return TagSet.parse(name)
     except ValueError as exc:
-        raise ConfigError(f"--tagset: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _list(value: str) -> list[str]:
@@ -136,18 +130,16 @@ def _groups(value: str) -> list[str]:
 
 
 def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric]:
-    resolved = []
-    seen = set()
+    resolved: dict[str, Metric] = {}
     for spec in specs:
         try:
             m = Metric.parse(spec, default_tagset)
         except ValueError as exc:
-            raise ConfigError(f"--metrics: {exc}") from None
-        if m.metric_id in seen:
-            raise ConfigError(f"--metrics: duplicate metric id {m.metric_id!r}")
-        seen.add(m.metric_id)
-        resolved.append(m)
-    return resolved
+            raise ValueError(f"--metrics: {exc}") from None
+        if m.metric_id in resolved:
+            raise ValueError(f"--metrics: duplicate metric id {m.metric_id!r}")
+        resolved[m.metric_id] = m
+    return list(resolved.values())
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +149,6 @@ def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric
 #: two candidates: tagged sentences when the run has a tag source, else the
 #: tokenized texts.
 Row = tuple[EvaluationSet, Response, Response, Response]
-
-
-def _load_corpus(args: argparse.Namespace) -> list[EvaluationSet]:
-    if args.corpus is None:
-        raise ConfigError("--corpus is required")
-    return load_jsonl(args.corpus)
 
 
 def _texts(corpus: Iterable[EvaluationSet]) -> Iterator[str]:
@@ -189,7 +175,7 @@ def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
     if args.tags is not None:
         tagged = load_tagged(args.tags)
         if len(tagged) != 3 * len(corpus):
-            raise ConfigError(
+            raise ValueError(
                 f"--tags: expected {3 * len(corpus)} sentences "
                 f"(3 per evaluation set), found {len(tagged)}"
             )
@@ -229,13 +215,13 @@ def _subsample(args: argparse.Namespace, items: Iterable) -> list:
 
 
 def _run_scoring(args: argparse.Namespace) -> ScoringRun:
-    corpus = _load_corpus(args)
+    corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
     for m in metrics:
         if m.needs_embeddings and args.embeddings is None:
-            raise ConfigError(f"metric {m.metric_id!r} requires --embeddings")
+            raise ValueError(f"metric {m.metric_id!r} requires --embeddings")
         if m.needs_tags and not _has_tag_source(args):
-            raise ConfigError(
+            raise ValueError(
                 f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
             )
     synonyms = SynonymLexicon.load(args.synonyms) if args.synonyms is not None else None
@@ -259,7 +245,7 @@ def _run_scoring(args: argparse.Namespace) -> ScoringRun:
         try:
             scores[ext_id] = {ev.id: ext.pair(ev.id) for ev in corpus}
         except KeyError as exc:
-            raise ConfigError(f"--external-scores: {exc.args[0]}") from None
+            raise ValueError(f"--external-scores: {exc.args[0]}") from None
         tagset_names[ext_id] = ""
     return ScoringRun(
         corpus=corpus,
@@ -298,7 +284,7 @@ def _pick_baseline(
     """Explicit --baseline wins; otherwise the best-powered classic baseline."""
     if args.baseline is not None:
         if args.baseline not in run.scores:
-            raise ConfigError(
+            raise ValueError(
                 f"--baseline: metric {args.baseline!r} is not among the computed metrics"
             )
         return args.baseline
@@ -356,9 +342,9 @@ def _group_response(row: Row, group: str) -> Response:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
+    corpus = load_jsonl(args.corpus)
     if not _has_tag_source(args):
-        raise ConfigError("analyze requires a tag source (--tags or --tagger-model)")
+        raise ValueError("analyze requires a tag source (--tags or --tagger-model)")
     rows = _rows(args, corpus)
     args.out.mkdir(parents=True, exist_ok=True)
     table = []
@@ -382,34 +368,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_tag(args: argparse.Namespace) -> int:
     if (args.train is None) == (args.corpus is None):
-        raise ConfigError("tag needs exactly one of --train (fit a model) or --corpus (apply one)")
+        raise ValueError("tag needs exactly one of --train (fit a model) or --corpus (apply one)")
     if args.train is not None:
         corpus = load_tagged(args.train)
         if not corpus:
-            raise ConfigError("--train: empty training corpus")
+            raise ValueError("--train: empty training corpus")
         model = train(corpus, epochs=args.epochs, seed=args.seed)
         save_model(model, args.out)
         return 0
     if args.tagger_model is None:
-        raise ConfigError("tag --corpus requires --tagger-model")
-    corpus = _load_corpus(args)
+        raise ValueError("tag --corpus requires --tagger-model")
+    corpus = load_jsonl(args.corpus)
     model = load_model(args.tagger_model)
     write_tagged([run_tagger(model, tokenize(text)) for text in _texts(corpus)], args.out)
     return 0
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    if args.format not in ("usr", "forum"):
-        raise ConfigError("--format must be 'usr' or 'forum'")
-    if args.input is None:
-        raise ConfigError("--input is required")
+    if args.format not in ("usr", "forum"):  # argparse skips `choices` for a config value
+        raise ValueError("--format must be 'usr' or 'forum'")
     if args.format == "usr":
         sets = build_usr_sets(load_usr_json(args.input))
     else:
         sets = build_forum_sets(load_forum_json(args.input))
     sets = _subsample(args, sets)
     if not sets:
-        raise ConfigError(f"{args.input}: no evaluation sets")
+        raise ValueError(f"{args.input}: no evaluation sets")
     write_jsonl(sets, args.out)
     return 0
 
@@ -427,6 +411,9 @@ COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
 # ---------------------------------------------------------------------------
 # argument parsing; a config file only supplies the command's defaults
 
+#: An on/off flag, off unless given; given bare, it means on.
+_ON_OFF = dict(type=_on_off, nargs="?", const=True, default=False, metavar="{on,off}")
+
 #: Every flag by its long name. A config key is that name.
 _FLAGS: dict[str, dict] = {
     "corpus": {"type": _input_path, "help": "canonical JSONL corpus"},
@@ -439,11 +426,11 @@ _FLAGS: dict[str, dict] = {
     },
     "synonyms": {"type": _input_path, "help": "lemma<TAB>synonym lexicon for METEOR"},
     "count-punct": {
-        "type": _on_off, "default": True, "metavar": "{on,off}",
+        **_ON_OFF, "default": True,
         "help": "count punctuation tokens in POS-fraction denominators (default on)",
     },
     "aux-as-verb": {
-        "type": _on_off, "default": True, "metavar": "{on,off}",
+        **_ON_OFF, "default": True,
         "help": "collapse AUX tags into VERB (default on)",
     },
     "metrics": {
@@ -452,11 +439,11 @@ _FLAGS: dict[str, dict] = {
     },
     "external-scores": {"type": _input_path, "help": "set_id,slot,score CSV"},
     "duplicate-bad": {
-        "action": "store_true",
+        **_ON_OFF,
         "help": "double the bad candidate's text before scoring (length-bias probe)",
     },
     "baseline": {"help": "baseline metric id for significance tests"},
-    "bonferroni": {"action": "store_true", "help": "add a Bonferroni-corrected p-value column"},
+    "bonferroni": {**_ON_OFF, "help": "add a Bonferroni-corrected p-value column"},
     "groups": {
         "type": _groups, "default": DEFAULT_GROUPS,
         "help": "comma-separated groups (default %(default)s)",
@@ -477,35 +464,39 @@ _SCORING_FLAGS = (
     "aux-as-verb", "metrics", "external-scores", "duplicate-bad", "sample", "seed", "out",
     "config",
 )
+_OUT_AND_CORPUS = ("out", "corpus")
 
-#: (help, flags) of each command: only the flags the command reads.
-_COMMAND_FLAGS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "score": ("per-candidate metric scores", _SCORING_FLAGS),
-    "evaluate": ("predictive power report", _SCORING_FLAGS + ("baseline", "bonferroni")),
+#: (help, flags it reads, flags it requires) of each command; a config file may supply any.
+_COMMAND_FLAGS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "score": ("per-candidate metric scores", _SCORING_FLAGS, _OUT_AND_CORPUS),
+    "evaluate": (
+        "predictive power report", _SCORING_FLAGS + ("baseline", "bonferroni"), _OUT_AND_CORPUS
+    ),
     "analyze": (
         "POS distribution and vote curve",
         ("corpus", "tags", "tagger-model", "tagset", "aux-as-verb", "groups", "forum-json",
          "sample", "seed", "out", "config"),
+        _OUT_AND_CORPUS,
     ),
-    "correlate": ("metric-vs-metric Kendall tau matrix", _SCORING_FLAGS),
+    "correlate": ("metric-vs-metric Kendall tau matrix", _SCORING_FLAGS, _OUT_AND_CORPUS),
     "tag": (
         "train a tagger or tag a corpus",
         ("train", "epochs", "corpus", "tagger-model", "seed", "out", "config"),
+        ("out",),
     ),
     "convert": (
         "convert USR/forum JSON to canonical JSONL",
         ("format", "input", "sample", "seed", "out", "config"),
+        ("out", "format", "input"),
     ),
 }
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ConfigError instead of exiting, so that `main` returns 2 for a
-    bad flag and for a bad config value alike.
-    """
+    """Raises ValueError in place of exiting: `main` returns 2 for any bad flag or value."""
 
     def error(self, message: str):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -516,7 +507,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "conversational search responses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+    for command, (help_text, flags, _) in _COMMAND_FLAGS.items():
         p = sub.add_parser(command, help=help_text)
         for name in flags:
             p.add_argument(f"--{name}", **_FLAGS[name])
@@ -535,7 +526,7 @@ def load_config_file(path: Path) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
+                raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             values[key.strip().replace("_", "-")] = value.strip()
     return values
@@ -544,39 +535,33 @@ def load_config_file(path: Path) -> dict[str, str]:
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse the flags. With --config, the file's values become the command's
     defaults and the flags are parsed again, so that flags win and each
-    value goes through its flag's converter.
+    value goes through its flag's converter. Then check the required flags.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    flags = _COMMAND_FLAGS[args.command][1]
-    defaults = {}
-    for key, value in load_config_file(args.config).items():
-        if key not in flags or key == "config":
-            raise ConfigError(f"--config: unknown key {key!r}")
-        if _FLAGS[key].get("action") == "store_true":
-            # argparse converts string defaults through `type` only; an
-            # on/off flag has none, and "off" would stay a true value
-            try:
-                value = _on_off(value)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(f"--config {args.config}: {key}: {exc}") from None
-        defaults[key.replace("-", "_")] = value
-    commands[args.command].set_defaults(**defaults)
-    try:
-        return parser.parse_args(argv)
-    except ConfigError as exc:
-        raise ConfigError(f"--config {args.config}: {exc}") from None
+    _, flags, required = _COMMAND_FLAGS[args.command]
+    if args.config is not None:
+        defaults = {}
+        for key, value in load_config_file(args.config).items():
+            if key not in flags or key == "config":
+                raise ValueError(f"--config: unknown key {key!r}")
+            defaults[key.replace("-", "_")] = value
+        commands[args.command].set_defaults(**defaults)
+        try:
+            args = parser.parse_args(argv)
+        except ValueError as exc:
+            raise ValueError(f"--config {args.config}: {exc}") from None
+    for name in required:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parse_args(argv)
-        if args.out is None:
-            raise ConfigError("--out is required")
         return COMMANDS[args.command](args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

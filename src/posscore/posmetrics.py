@@ -51,10 +51,12 @@ def pos_split(
 ) -> PosSplit:
     """Partition a tagged response into POS words (tag in tags) and the rest,
     keeping order, as prepared tokens that share the norm -> stem dict stems.
-    Raises ValueError for untagged tokens.
+    Raises ValueError for untagged tokens or a tag set that is not a TagSet.
     """
     if not isinstance(sentence, TaggedSentence):
         raise ValueError("POS metrics need a tagged sentence, got untagged tokens")
+    if not isinstance(tags, TagSet):
+        raise ValueError(f"tag set must be a TagSet, got {tags!r}")
     pos_words: list[Token] = []
     tag_tokens: list[Token] = []
     non_pos_words: list[Token] = []
@@ -88,7 +90,8 @@ def pos_weight(n_ref: float, n_cand: float) -> float:
 
 def _split(prepared: PreparedTokens, tags: TagSet) -> PosSplit:
     """prepared's POS split on tags, kept on it for every POS metric to share."""
-    split = prepared._splits.get(tags)
+    # tags that are not a TagSet, even unhashable ones, miss so that pos_split refuses them
+    split = prepared._splits.get(tags) if isinstance(tags, TagSet) else None
     if split is None:
         split = prepared._splits[tags] = pos_split(prepared.tagged, tags, prepared._stem_dict)
     return split
@@ -188,7 +191,7 @@ class Metric:
     set (and, for pwe and ptlc, its base metric). It parses and writes the
     metric id, says what the metric needs, and scores it. Fields that do not
     fit raise ValueError: a base id takes no base and no tag set, posscore a
-    tag set and no base, pwe and ptlc a base from BASE_METRIC_IDS and a tag set.
+    TagSet and no base, pwe and ptlc a base from BASE_METRIC_IDS and a TagSet.
     """
 
     family: str  # a base metric id, "posscore", "pwe" or "ptlc"
@@ -203,6 +206,8 @@ class Metric:
                 f"metric {self.family!r} takes {'a' if takes_base else 'no'} base metric"
                 f" and {'a' if takes_tags else 'no'} tag set"
             )
+        if takes_tags and not isinstance(self.tagset, TagSet):
+            raise ValueError(f"tag set must be a TagSet, got {self.tagset!r}")
         base = self.base if takes_base else self.family
         if self.family != "posscore" and base not in BASE_METRIC_IDS:
             raise ValueError(

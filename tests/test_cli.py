@@ -280,6 +280,23 @@ class TestEvaluate:
             assert float(r[6]) >= float(r[5])
             assert float(r[6]) <= 1.0
 
+    def test_bonferroni_on_off(self, cli_workspace, tmp_path):
+        cfgfile = tmp_path / "on.cfg"
+        cfgfile.write_text("bonferroni=on\n")
+        runs = {
+            "left-out": [], "off": ["--bonferroni", "off"], "bare": ["--bonferroni"],
+            "on": ["--bonferroni", "on"], "config": ["--config", str(cfgfile)],
+        }
+        reports = {}
+        for name, flags in runs.items():
+            out = tmp_path / f"{name}.csv"
+            rc = run("evaluate", "--corpus", str(cli_workspace / "corpus.jsonl"),
+                     "--metrics", "bleu1,meteor", *flags, "--out", str(out))
+            assert rc == 0
+            reports[name] = out.read_bytes()
+        assert reports["off"] == reports["left-out"] != reports["bare"]
+        assert reports["on"] == reports["config"] == reports["bare"]
+
     def test_byte_identical_rerun(self, cli_workspace, tmp_path):
         args = [
             "evaluate",
@@ -751,6 +768,8 @@ class TestConfigFile:
         assert probed != plain
         assert self.scores_with(ws, tmp_path, "off", ["duplicate-bad=off"], []) == plain
         assert self.scores_with(ws, tmp_path, "on", ["duplicate-bad=on"], []) == probed
+        assert self.scores_with(ws, tmp_path, "flag-off", [], ["--duplicate-bad", "off"]) == plain
+        assert self.scores_with(ws, tmp_path, "flag-on", [], ["--duplicate-bad", "on"]) == probed
 
     def test_flags_and_keys_share_on_off_words(self, cli_workspace, tmp_path):
         ws = cli_workspace
@@ -759,16 +778,43 @@ class TestConfigFile:
         assert by_key == by_flag
         assert by_key != self.scores_with(ws, tmp_path, "on", [], ["--count-punct", "yes"])
 
-    @pytest.mark.parametrize(
-        "line", ["sample=abc", "sample=0", "count-punct=maybe", "duplicate-bad=maybe"]
-    )
+    @pytest.mark.parametrize("line", [
+        "sample=abc", "sample=0", "count-punct=maybe", "duplicate-bad=maybe", "tagset=det",
+        "bonferroni=maybe",
+    ])
     def test_bad_value_exits_2(self, cli_workspace, tmp_path, capsys, line):
+        # evaluate reads every key listed, bonferroni included
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"corpus={cli_workspace / 'corpus.jsonl'}\n{line}\n")
-        rc = run("score", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
+        rc = run("evaluate", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
         assert rc == 2
         err = capsys.readouterr().err
         assert line.partition("=")[0] in err and str(cfgfile) in err
+
+    def test_config_supplies_required_flags(self, cli_workspace, tmp_path):
+        cfgfile = tmp_path / "convert.cfg"
+        cfgfile.write_text(f"format=usr\ninput={cli_workspace / 'usr.json'}\n")
+        by_key, by_flag = tmp_path / "key.jsonl", tmp_path / "flag.jsonl"
+        assert run("convert", "--config", str(cfgfile), "--out", str(by_key)) == 0
+        rc = run("convert", "--format", "usr", "--input", str(cli_workspace / "usr.json"),
+                 "--out", str(by_flag))
+        assert rc == 0
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("score", "metrics=bleu1", "--corpus is required"),
+        ("convert", "format=usr", "--input is required"),
+        # argparse checks choices on the command line only, not on a config value
+        ("convert", "format=xml\ninput={ws}/usr.json", "--format must be 'usr' or 'forum'"),
+    ], ids=["score-corpus", "convert-input", "convert-format"])
+    def test_config_without_a_usable_required_flag(self, cli_workspace, tmp_path, capsys,
+                                                  command, config, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config.format(ws=cli_workspace) + "\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfgfile), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_zero_epochs_names_key_and_file(self, cli_workspace, tmp_path, capsys):
         cfgfile = tmp_path / "train.cfg"

@@ -422,10 +422,25 @@ class TestInputThatDoesNotFit:
         (("rouge",), "unknown base metric 'rouge'; expected one of " + ", ".join(BASE_METRIC_IDS)),
         (("pwe", "posscore", DEFAULT), "unknown base metric 'posscore'; expected one of "
          + ", ".join(BASE_METRIC_IDS)),
+        (("pwe", "bleu1", "verb+noun"), "tag set must be a TagSet, got 'verb+noun'"),
+        (("posscore", None, "noun"), "tag set must be a TagSet, got 'noun'"),
     ])
     def test_constructor_refuses_fields_that_do_not_fit(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Metric(*fields)
+
+    @pytest.mark.parametrize("tags", ["noun", ["noun"]], ids=["name", "list"])
+    @pytest.mark.parametrize("call", [
+        lambda s, tags, table: pos_split(s, tags),
+        lambda s, tags, table: posscore(s, s, tags, table),
+        lambda s, tags, table: pwe(s, s, tags, "bleu1"),
+        lambda s, tags, table: ptlc(s, s, tags, "meteor"),
+    ], ids=["pos_split", "posscore", "pwe", "ptlc"])
+    def test_pos_metrics_refuse_tags_that_are_not_a_tag_set(self, call, tags, toy_table):
+        # these once died with TypeError in the split or its cache lookup
+        message = f"tag set must be a TagSet, got {tags!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(tag_text("the cat sat ."), tags, toy_table)
 
     def test_unknown_base_has_one_message(self):
         s = tag_text("the cat sat")
