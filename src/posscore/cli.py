@@ -173,20 +173,23 @@ def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
     picked = _subsample(args, range(len(corpus)))
     sampled = [corpus[i] for i in picked]
     if args.tags is not None:
-        tagged = load_tagged(args.tags)
-        if len(tagged) != 3 * len(corpus):
+        sentences = load_tagged(args.tags)
+        if len(sentences) != 3 * len(corpus):
             raise ValueError(
                 f"--tags: expected {3 * len(corpus)} sentences "
-                f"(3 per evaluation set), found {len(tagged)}"
+                f"(3 per evaluation set), found {len(sentences)}"
             )
-        sentences = (tagged[3 * i + k] for i in picked for k in range(3))
+        sentences = [sentences[3 * i + k] for i in picked for k in range(3)]
     elif args.tagger_model is not None:
         model = load_model(args.tagger_model)
-        sentences = (run_tagger(model, tokenize(text)) for text in _texts(sampled))
+        pairs = {}  # one (token, tag) pair per distinct pair of the run
+        sentences = [run_tagger(model, tokenize(text), pairs) for text in _texts(sampled)]
     else:
-        sentences = map(tokenize, _texts(sampled))
+        sentences = [tokenize(text) for text in _texts(sampled)]
     if _has_tag_source(args) and args.aux_as_verb:
-        sentences = map(remap_aux_to_verb, sentences)
+        # in place, so that a sentence and its folded copy are not both kept
+        for j, sentence in enumerate(sentences):
+            sentences[j] = remap_aux_to_verb(sentence)
     it = iter(sentences)
     return list(zip(sampled, it, it, it))
 
@@ -232,6 +235,8 @@ def _run_scoring(args: argparse.Namespace) -> ScoringRun:
         vocab = {tok.norm for row in rows for r in row[1:]
                  for tok in (r.tokens if isinstance(r, TaggedSentence) else r)}
         table = load_vec(args.embeddings, vocab_filter=vocab)
+        if not table.index:
+            raise ValueError(f"{args.embeddings}: no token of the run has a vector in this file")
     if args.duplicate_bad:
         rows = [_duplicate_bad(row) for row in rows]
     sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
@@ -380,13 +385,14 @@ def cmd_tag(args: argparse.Namespace) -> int:
         raise ValueError("tag --corpus requires --tagger-model")
     corpus = load_jsonl(args.corpus)
     model = load_model(args.tagger_model)
-    write_tagged([run_tagger(model, tokenize(text)) for text in _texts(corpus)], args.out)
+    pairs = {}
+    write_tagged([run_tagger(model, tokenize(text), pairs) for text in _texts(corpus)], args.out)
     return 0
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     if args.format not in ("usr", "forum"):  # argparse skips `choices` for a config value
-        raise ValueError("--format must be 'usr' or 'forum'")
+        raise ValueError(f"--config {args.config}: --format must be 'usr' or 'forum'")
     if args.format == "usr":
         sets = build_usr_sets(load_usr_json(args.input))
     else:
@@ -517,9 +523,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Parse a flat key=value manifest; '#' starts a comment line. Keys are
-    long flag names; underscores read as dashes.
+    long flag names; underscores read as dashes. A key may appear once.
     """
-    values = {}
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -528,7 +534,10 @@ def load_config_file(path: Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("_", "-")] = value.strip()
+            key = key.strip().replace("_", "-")
+            if key in lines:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} repeats line {lines[key]}")
+            values[key], lines[key] = value.strip(), lineno
     return values
 
 
@@ -544,7 +553,7 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
         defaults = {}
         for key, value in load_config_file(args.config).items():
             if key not in flags or key == "config":
-                raise ValueError(f"--config: unknown key {key!r}")
+                raise ValueError(f"--config {args.config}: unknown key {key!r}")
             defaults[key.replace("-", "_")] = value
         commands[args.command].set_defaults(**defaults)
         try:

@@ -68,8 +68,18 @@ def _predict(weights: Mapping[str, Mapping[int, float]], feats: Sequence[str]) -
     return scores.index(max(scores))
 
 
-def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
-    """Tag a token sequence; prior-listed tokens bypass the perceptron."""
+def tag(
+    model: TaggerModel,
+    tokens: Sequence[Token],
+    pairs: dict[tuple[str, str], tuple[Token, PosTag]] | None = None,
+) -> TaggedSentence:
+    """Tag a token sequence; prior-listed tokens bypass the perceptron.
+
+    The (token, tag) pairs are looked up in `pairs`, a (surface, tag name)
+    -> pair dict that callers may share across a run, so that each distinct
+    pair is held once however often it occurs.
+    """
+    pairs = {} if pairs is None else pairs
     norms = [t.norm for t in tokens]
     surfaces = [t.surface for t in tokens]
     prev_tag = _BOS
@@ -78,8 +88,11 @@ def tag(model: TaggerModel, tokens: Sequence[Token]) -> TaggedSentence:
         chosen = model.tag_prior.get(norms[i])
         if chosen is None:
             chosen = _TAGS[_predict(model.feature_weights, _features(norms, surfaces, i, prev_tag))]
-        out.append((token, chosen))
         prev_tag = chosen.value
+        pair = pairs.get((surfaces[i], prev_tag))
+        if pair is None:
+            pair = pairs[surfaces[i], prev_tag] = (token, chosen)
+        out.append(pair)
     return TaggedSentence(tuple(out))
 
 
@@ -213,13 +226,14 @@ def load_model(path: str | Path) -> TaggerModel:
 def load_tagged(path: str | Path) -> list[TaggedSentence]:
     """Parse tab-separated (index, surface, tag) rows; blank lines split
     sentences; unknown tag strings fall back to X. Equal surfaces share one
-    Token object.
+    Token object, and equal (surface, tag) rows one (token, tag) pair: past
+    the file's distinct pairs, a sentence holds one tuple slot per token.
     """
     path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[Token, PosTag]] = []
     tokens: dict[str, Token] = {}
-    tags: dict[str, PosTag] = {}
+    pairs: dict[tuple[str, str], tuple[Token, PosTag]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -239,15 +253,18 @@ def load_tagged(path: str | Path) -> list[TaggedSentence]:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer token index {fields[0]!r}"
                 ) from None
-            surface, tag_text = fields[1], fields[2]
-            if surface not in tokens:
-                tokens[surface] = Token(surface)
-            if tag_text not in tags:
+            key = (fields[1], fields[2])
+            pair = pairs.get(key)
+            if pair is None:
+                surface, tag_text = key
+                if surface not in tokens:
+                    tokens[surface] = Token(surface)
                 try:
-                    tags[tag_text] = PosTag.parse(tag_text)
+                    pos = PosTag.parse(tag_text)
                 except ValueError:
-                    tags[tag_text] = PosTag.X
-            current.append((tokens[surface], tags[tag_text]))
+                    pos = PosTag.X
+                pair = pairs[key] = (tokens[surface], pos)
+            current.append(pair)
     if current:
         sentences.append(TaggedSentence(tuple(current)))
     return sentences
@@ -273,10 +290,12 @@ def write_tagged(sentences: Iterable[TaggedSentence], path: str | Path) -> None:
 
 def remap_aux_to_verb(sentence: TaggedSentence) -> TaggedSentence:
     """Collapse AUX into VERB; some tagging conventions label auxiliaries
-    as plain verbs and the metrics follow that usage by default.
+    as plain verbs and the metrics follow that usage by default. Every
+    non-AUX pair object is kept, and a sentence without AUX is returned as
+    it is.
     """
+    if PosTag.AUX not in sentence.tags:
+        return sentence
     return TaggedSentence(
-        tuple(
-            (tok, PosTag.VERB if t is PosTag.AUX else t) for tok, t in sentence
-        )
+        tuple((pair[0], PosTag.VERB) if pair[1] is PosTag.AUX else pair for pair in sentence)
     )

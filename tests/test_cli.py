@@ -9,7 +9,7 @@ import pytest
 
 from posscore.cli import main
 from posscore.core import tokenize
-from posscore.postag import MODEL_MAGIC, load_tagged
+from posscore.postag import MODEL_MAGIC, load_tagged, remap_aux_to_verb
 
 
 def run(*argv):
@@ -723,7 +723,26 @@ class TestConfigFile:
         cfgfile.write_text("corpsu=typo.jsonl\n")
         rc = run("score", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
         assert rc == 2
-        assert "corpsu" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --config {cfgfile}: unknown key 'corpsu'\n"
+
+    def test_repeated_key_names_file_and_both_lines(self, cli_workspace, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"corpus={cli_workspace / 'corpus.jsonl'}\n"
+            "metrics=bleu1\n"
+            "# a later value does not silently win\n"
+            "metrics=meteor\n"
+        )
+        out = tmp_path / "x.csv"
+        assert run("score", "--config", str(cfgfile), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {cfgfile}: line 4: key 'metrics' repeats line 2\n"
+        assert not out.exists()
+
+    def test_repeated_key_in_either_spelling(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("duplicate_bad=on\nduplicate-bad=off\n")
+        assert run("score", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")) == 2
+        assert "line 2: key 'duplicate-bad' repeats line 1" in capsys.readouterr().err
 
     def test_malformed_line(self, cli_workspace, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -805,7 +824,8 @@ class TestConfigFile:
         ("score", "metrics=bleu1", "--corpus is required"),
         ("convert", "format=usr", "--input is required"),
         # argparse checks choices on the command line only, not on a config value
-        ("convert", "format=xml\ninput={ws}/usr.json", "--format must be 'usr' or 'forum'"),
+        ("convert", "format=xml\ninput={ws}/usr.json",
+         "--config {cfg}: --format must be 'usr' or 'forum'"),
     ], ids=["score-corpus", "convert-input", "convert-format"])
     def test_config_without_a_usable_required_flag(self, cli_workspace, tmp_path, capsys,
                                                   command, config, message):
@@ -813,7 +833,7 @@ class TestConfigFile:
         cfgfile.write_text(config.format(ws=cli_workspace) + "\n")
         out = tmp_path / "out"
         assert run(command, "--config", str(cfgfile), "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfgfile)}\n"
         assert not out.exists()
 
     def test_zero_epochs_names_key_and_file(self, cli_workspace, tmp_path, capsys):
@@ -967,6 +987,43 @@ class TestSample:
         for r in rows:
             assert full_scores[(r[0], r[1])] == r[4]
 
+    def test_sampled_tagged_scores_equal_direct_calls(self, cli_workspace, tmp_path,
+                                                     monkeypatch):
+        # the AUX fold runs on the picked sentences only, and the scores are
+        # those of the whole loaded and folded file
+        import posscore.cli as cli
+        from posscore import load_vec
+
+        folded = []
+
+        def counting_fold(sentence):
+            folded.append(sentence)
+            return remap_aux_to_verb(sentence)
+
+        monkeypatch.setattr(cli, "remap_aux_to_verb", counting_fold)
+        metrics = ["posscore", "pwe:bleu1", "ptlc:meteor:adv+verb"]
+        out = tmp_path / "scores.csv"
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", ",".join(metrics),
+            "--sample", "3",
+            "--seed", "5",
+            "--out", str(out),
+        )
+        assert rc == 0
+        assert len(folded) == 3 * 3
+        rows = read_csv(out)[1:]
+        assert len(rows) == 3 * 2 * len(metrics)
+        table = load_vec(cli_workspace / "vectors.vec")
+        sentences = run_sentences(cli_workspace, tagged=True, duplicate=False)
+        for set_id, slot, metric_id, tagset_name, value in rows:
+            score = direct_scorer(metric_id, tagset_name, table, None, True)
+            expected = score(sentences[(set_id, "ref")], sentences[(set_id, slot)])
+            assert value == repr(expected), (set_id, slot, metric_id)
+
     def test_tagger_runs_only_on_sampled_sets(self, cli_workspace, tagger_model, tmp_path,
                                               monkeypatch):
         import posscore.cli as cli
@@ -974,9 +1031,9 @@ class TestSample:
 
         calls = []
 
-        def counting_tagger(model, tokens):
+        def counting_tagger(model, tokens, *shared):
             calls.append(tokens)
-            return tag(model, tokens)
+            return tag(model, tokens, *shared)
 
         monkeypatch.setattr(cli, "run_tagger", counting_tagger)
         rc = run(
@@ -1116,6 +1173,47 @@ class TestEmbeddingLoad:
         assert "big.vec: line 2: squared norm past the float range in 'cat'" in (
             capsys.readouterr().err
         )
+
+    @staticmethod
+    def prefixed_vec(ws, dest, keep=0):
+        """A copy of the workspace .vec whose words past the first `keep` carry a zzq prefix."""
+        header, *rows = (ws / "vectors.vec").read_text(encoding="utf-8").splitlines()
+        rows = rows[:keep] + [f"zzq{row}" for row in rows[keep:]]
+        dest.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return dest
+
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_vec_covering_no_token_exits_2(self, cli_workspace, tmp_path, capsys, tagged):
+        # every embedding score once read 0 and every set tied, so posscore
+        # got a power of 0.0 with a tiny p_vs_baseline and exit 0
+        vec = self.prefixed_vec(cli_workspace, tmp_path / "prefixed.vec")
+        source = ["--tags", str(cli_workspace / "tags.tsv")] if tagged else []
+        out = tmp_path / "report.csv"
+        rc = run(
+            "evaluate",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            *source,
+            "--embeddings", str(vec),
+            "--metrics", "posscore,bleu1" if tagged else "ea,bleu1",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {vec}: no token of the run has a vector in this file\n"
+        )
+
+    def test_vec_covering_some_tokens_runs(self, cli_workspace, tmp_path):
+        vec = self.prefixed_vec(cli_workspace, tmp_path / "partial.vec", keep=3)
+        rc = run(
+            "evaluate",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(vec),
+            "--metrics", "posscore,bleu1",
+            "--out", str(tmp_path / "report.csv"),
+        )
+        assert rc == 0
 
     def test_tag_source_errors_before_vec(self, tmp_path, capsys):
         corpus = tmp_path / "mini.jsonl"

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -320,6 +322,77 @@ class TestTaggedFiles:
         assert len(load_tagged(p)) == 1
 
 
+def write_repeating_tags(path, n_sentences=1500, seed=29):
+    """A tags file of 10-25-token sentences over 200 words and four tags, so
+    that (surface, tag) rows repeat; about a tenth of the rows are AUX.
+    """
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(200)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(n_sentences):
+            if n:
+                fh.write("\n")
+            for i in range(1, rng.randint(10, 25) + 1):
+                if rng.random() < 0.1:
+                    word, t = rng.choice(["is", "was", "can"]), "AUX"
+                else:
+                    word, t = rng.choice(words), rng.choice(["NOUN", "VERB", "ADJ", "DET"])
+                fh.write(f"{i}\t{word}\t{t}\n")
+
+
+def retained_per_token(build):
+    """build()'s result and the bytes it keeps allocated per tagged token."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sentences = build()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return sentences, retained / sum(len(s) for s in sentences)
+
+
+class TestSharedPairs:
+    def test_equal_rows_share_one_pair(self, tmp_path):
+        p = tmp_path / "tags.tsv"
+        p.write_text("1\tcat\tNOUN\n2\tcat\tVERB\n\n1\tcat\tNOUN\n2\tcat\tFOO\n3\tcat\tX\n")
+        (a, b), (c, d, e) = (s.items for s in load_tagged(p))
+        assert a is c and a == (b[0], PosTag.NOUN)
+        assert b is not a and b[0] is a[0]
+        # an unknown tag reads X, but its row is another row than X's
+        assert d == e == (a[0], PosTag.X)
+
+    def test_tagger_shares_pairs_across_calls(self):
+        model = TaggerModel({}, {"cat": PosTag.NOUN, "sat": PosTag.VERB}, 1)
+        pairs = {}
+        first = tag(model, tokenize("cat sat"), pairs)
+        second = tag(model, tokenize("sat cat cat"), pairs)
+        assert second.items[1] is second.items[2] is first.items[0]
+        assert second.items[0] is first.items[1]
+        assert second == tag(model, tokenize("sat cat cat"))
+
+    def test_load_retains_a_slot_per_token(self, tmp_path):
+        # a new (token, tag) tuple per row kept 73 B per token here, and 19 B
+        # with one pair per distinct row
+        p = tmp_path / "tags.tsv"
+        write_repeating_tags(p)
+        sentences, per_token = retained_per_token(lambda: load_tagged(p))
+        assert sum(len(s) for s in sentences) > 20_000
+        assert per_token < 40
+
+    def test_fold_retains_little_past_the_loaded_corpus(self, tmp_path):
+        # rebuilding every pair kept 71 B per token here, and 18 B with the
+        # non-AUX pairs reused
+        p = tmp_path / "tags.tsv"
+        write_repeating_tags(p)
+        loaded = load_tagged(p)
+        folded, per_token = retained_per_token(lambda: [remap_aux_to_verb(s) for s in loaded])
+        assert folded == [remap_aux_to_verb(s) for s in load_tagged(p)]
+        assert per_token < 40
+
+
 class TestRemap:
     def test_aux_becomes_verb(self):
         sent = TaggedSentence.from_strings([("is", "AUX"), ("good", "ADJ")])
@@ -330,3 +403,18 @@ class TestRemap:
     def test_identity_without_aux(self):
         sent = TaggedSentence.from_strings([("cat", "NOUN"), ("sat", "VERB")])
         assert remap_aux_to_verb(sent) == sent
+
+    def test_keeps_every_non_aux_pair(self):
+        rng = random.Random(31)
+        folded = 0
+        for _ in range(50):
+            sent = random_tagged_sentence(rng, 1, 12)
+            out = remap_aux_to_verb(sent)
+            assert len(out) == len(sent)
+            for old, new in zip(sent, out):
+                if old[1] is PosTag.AUX:
+                    assert new[0] is old[0] and new[1] is PosTag.VERB
+                    folded += 1
+                else:
+                    assert new is old
+        assert folded > 10
