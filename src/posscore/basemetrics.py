@@ -22,7 +22,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import TaggedSentence, Token
+from .core import TaggedSentence, Token, open_text
 from .embed import EmbeddingTable, SentenceVector, average_embedding, cosine
 from .stem import porter_stem
 
@@ -151,7 +151,7 @@ class SynonymLexicon:
     @classmethod
     def load(cls, path: str | Path) -> "SynonymLexicon":
         pairs: list[tuple[str, str]] = []
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip() or line.lstrip().startswith("#"):
@@ -434,7 +434,7 @@ class ExternalScoreFile:
 def load_external_scores(path: str | Path) -> ExternalScoreFile:
     """Parse a ``set_id,slot,score`` CSV; duplicates and bad slots are errors."""
     rows: dict[tuple[str, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["set_id", "slot", "score"]:

@@ -12,7 +12,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     EvaluationSet,
     TaggedSentence,
     TagSet,
+    open_text,
     tokenize,
 )
 from .embed import load_vec
@@ -40,7 +40,6 @@ from .ingest import (
     write_jsonl,
 )
 from .metaeval import (
-    PowerResult,
     bonferroni,
     kendall_tau,
     paired_ttest,
@@ -79,6 +78,8 @@ def _input_path(raw: str) -> Path:
             path = Path(root) / path
     if not path.exists():
         raise argparse.ArgumentTypeError(f"file not found: {raw}")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"is a directory: {raw}")
     return path
 
 
@@ -203,21 +204,17 @@ def _duplicate_bad(row: Row) -> Row:
     return (ev, *responses)
 
 
-@dataclass
-class ScoringRun:
-    corpus: list[EvaluationSet]
-    metric_ids: list[str]
-    tagset_names: dict[str, str]
-    scores: dict[str, dict[str, tuple[float, float]]]
-
-
 def _subsample(args: argparse.Namespace, items: Iterable) -> list:
     if args.sample is None:
         return list(items)
     return reservoir_sample(items, args.sample, args.seed)
 
 
-def _run_scoring(args: argparse.Namespace) -> ScoringRun:
+def _run_scoring(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
+    """The sampled corpus, and the score table: metric id -> (tag set name,
+    set id -> (score a, score b)), in id order. Ids without a tag set are
+    the base metrics and the external scores.
+    """
     corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
     for m in metrics:
@@ -241,23 +238,18 @@ def _run_scoring(args: argparse.Namespace) -> ScoringRun:
         rows = [_duplicate_bad(row) for row in rows]
     sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
     scores = score_sets(metrics, sets, table, synonyms, args.count_punct)
-    tagset_names = {m.metric_id: m.tagset.name if m.tagset else "" for m in metrics}
+    columns = {m.metric_id: (m.tagset.name if m.tagset else "", scores[m.metric_id])
+               for m in metrics}
     corpus = [row[0] for row in rows]
     if args.external_scores is not None:
         # an external score file joins the run as metric id ext:<file stem>
         ext = load_external_scores(args.external_scores)
-        ext_id = f"ext:{args.external_scores.stem}"
         try:
-            scores[ext_id] = {ev.id: ext.pair(ev.id) for ev in corpus}
+            pairs = {ev.id: ext.pair(ev.id) for ev in corpus}
         except KeyError as exc:
             raise ValueError(f"--external-scores: {exc.args[0]}") from None
-        tagset_names[ext_id] = ""
-    return ScoringRun(
-        corpus=corpus,
-        metric_ids=sorted(scores),
-        tagset_names=tagset_names,
-        scores=scores,
-    )
+        columns[f"ext:{args.external_scores.stem}"] = ("", pairs)
+    return corpus, dict(sorted(columns.items()))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -272,51 +264,35 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    run = _run_scoring(args)
-    rows = []
-    for ev in sorted(run.corpus, key=lambda e: e.id):
-        for slot_idx, slot in enumerate(("a", "b")):
-            for mid in run.metric_ids:
-                value = run.scores[mid][ev.id][slot_idx]
-                rows.append([ev.id, slot, mid, run.tagset_names[mid], repr(value)])
+    corpus, table = _run_scoring(args)
+    rows = [
+        [ev.id, slot, mid, tagset, repr(scores[ev.id][k])]
+        for ev in sorted(corpus, key=lambda e: e.id)
+        for k, slot in enumerate(("a", "b"))
+        for mid, (tagset, scores) in table.items()
+    ]
     _write_csv(args.out, ["set_id", "slot", "metric_id", "tagset", "score"], rows)
     return 0
 
 
-def _pick_baseline(
-    run: ScoringRun, args: argparse.Namespace, results: dict[str, PowerResult]
-) -> str | None:
-    """Explicit --baseline wins; otherwise the best-powered classic baseline."""
-    if args.baseline is not None:
-        if args.baseline not in run.scores:
-            raise ValueError(
-                f"--baseline: metric {args.baseline!r} is not among the computed metrics"
-            )
-        return args.baseline
-    # base metrics and external scores are the ids without a tag set
-    candidates = [mid for mid in run.metric_ids if not run.tagset_names[mid]]
-    if not candidates:
-        return None
-    # highest power wins; ties resolve to the lexicographically first id
-    return max(sorted(candidates), key=lambda mid: results[mid].power)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = _run_scoring(args)
-    results, vectors = {}, {}
-    for mid in run.metric_ids:
-        results[mid], vectors[mid] = predictive_power(run.corpus, run.scores[mid], mid)
-    baseline = _pick_baseline(run, args, results)
-    n_comparisons = max(len(run.metric_ids) - 1, 1)
+    corpus, table = _run_scoring(args)
+    powers = {mid: predictive_power(corpus, scores, mid) for mid, (_, scores) in table.items()}
+    baseline = args.baseline
+    if baseline is None:
+        # the best-powered id without a tag set; max keeps the first id on a tie
+        baseline = max((mid for mid, (tagset, _) in table.items() if not tagset),
+                       key=lambda mid: powers[mid][0].power, default=None)
+    elif baseline not in table:
+        raise ValueError(f"--baseline: metric {baseline!r} is not among the computed metrics")
+    n_comparisons = max(len(table) - 1, 1)
     header = ["metric_id", "tagset", "power", "correct", "total", "p_vs_baseline"]
-    if args.bonferroni:
-        header.append("p_bonferroni")
+    header += ["p_bonferroni"] if args.bonferroni else []
     rows = []
-    for mid in run.metric_ids:
-        r = results[mid]
-        p = paired_ttest(vectors[mid], vectors[baseline]) if baseline is not None else None
-        row = [mid, run.tagset_names[mid], repr(r.power), r.correct, r.total]
-        row.append("" if p is None else repr(p))
+    for mid, (tagset, _) in table.items():
+        r, vector = powers[mid]
+        p = paired_ttest(vector, powers[baseline][1]) if baseline is not None else None
+        row = [mid, tagset, repr(r.power), r.correct, r.total, "" if p is None else repr(p)]
         if args.bonferroni:
             row.append("" if p is None else repr(bonferroni(p, n_comparisons)))
         rows.append(row)
@@ -325,10 +301,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    run = _run_scoring(args)
-    order = sorted(run.corpus, key=lambda e: e.id)
-    ids = run.metric_ids
-    vectors = {mid: [s for ev in order for s in run.scores[mid][ev.id]] for mid in ids}
+    corpus, table = _run_scoring(args)
+    order = sorted(corpus, key=lambda e: e.id)
+    ids = list(table)
+    vectors = {mid: [s for ev in order for s in scores[ev.id]]
+               for mid, (_, scores) in table.items()}
     taus: dict[tuple[str, str], str] = {}
     for i, mid in enumerate(ids):  # tau-b is exactly symmetric: compute each pair once
         for o in ids[i:]:
@@ -526,7 +503,7 @@ def load_config_file(path: Path) -> dict[str, str]:
     long flag names; underscores read as dashes. A key may appear once.
     """
     values, lines = {}, {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -5,11 +5,14 @@ Everything here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import io
+import re
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class PosTag(Enum):
@@ -112,7 +115,7 @@ DEFAULT_TAG_SET = CANONICAL_TAG_SETS["adj+adv+verb+propn+noun"]
 FULL_TAG_SET = CANONICAL_TAG_SETS["adj+adv+verb+propn+noun+pron"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A surface token plus its case-folded form used for matching and lookups."""
 
@@ -125,7 +128,7 @@ class Token:
         object.__setattr__(self, "norm", self.surface.casefold())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSentence:
     """An ordered sequence of (token, tag) pairs."""
 
@@ -151,7 +154,7 @@ class TaggedSentence:
         return cls(tuple((Token(s), PosTag.parse(t)) for s, t in pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationSet:
     """One ⟨context, reference, candidate pair⟩ unit with human quality signals.
 
@@ -206,3 +209,24 @@ def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
     while end > start and chunk[end - 1] in _PUNCT_CHARS:
         end -= 1
     return tuple(Token(part) for part in (*chunk[:start], chunk[start:end], *chunk[end:]) if part)
+
+
+@contextmanager
+def open_text(
+    path, newline: str | None = None, opener: Callable = open
+) -> Iterator[io.TextIOWrapper]:
+    """Open an input file as UTF-8 text; `opener` opens it in binary (gzip.open
+    for a .vec.gz). A byte that is not UTF-8 raises ValueError naming the
+    file and its line.
+    """
+    try:
+        with opener(path, "rb") as raw:
+            yield io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+    except UnicodeDecodeError as exc:
+        # read it again, each bad byte kept as a surrogate, to find its line
+        with opener(path, "rb") as raw:
+            text = io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline)
+            bad = (n for n, line in enumerate(text, 1) if re.search("[\udc80-\udcff]", line))
+            lineno = next(bad, "?")
+        why = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({why})") from None

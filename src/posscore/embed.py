@@ -8,7 +8,6 @@ transparently decompressed.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Token
+from .core import Token, open_text
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     (without one, it doubles when full), cut at the end.
     """
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
     index: dict[str, int] = {}
     pending: list[tuple[int, str, str]] = []  # line, token and values of kept rows not parsed yet
-    with opener(path, "rb") as raw:
-        text = io.TextIOWrapper(raw, encoding="utf-8")
+    with open_text(path, opener=gzip.open if path.suffix == ".gz" else open) as text:
         parts = text.readline().split()
         if len(parts) != 2:
             raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")

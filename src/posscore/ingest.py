@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .core import EvaluationSet
+from .core import EvaluationSet, open_text
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ def _malformed(path: Path, text: str, exc: ValueError, first_line: int = 1) -> V
 
 def _json_items(path: Path) -> Iterator[tuple[str, object]]:
     """Each item of the top-level JSON array in path, with its location."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     try:
         data = json.loads(text)
@@ -155,7 +155,7 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
     sets: list[EvaluationSet] = []
     first_line: dict[str, int] = {}
     skipped_ties = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

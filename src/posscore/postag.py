@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .core import PosTag, TaggedSentence, Token
+from .core import PosTag, TaggedSentence, Token, open_text
 
 _TAGS = tuple(PosTag)  # weights are keyed by index in this order: ints hash in C
 
@@ -195,7 +195,7 @@ def load_model(path: str | Path) -> TaggerModel:
     """Read a model file; a bad epoch count or row raises ValueError naming its line."""
     prior: dict[str, PosTag] = {}
     weights: dict[str, dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2 or header[0] != MODEL_MAGIC:
             raise ValueError(f"{path}: not a {MODEL_MAGIC} model file")
@@ -234,7 +234,7 @@ def load_tagged(path: str | Path) -> list[TaggedSentence]:
     current: list[tuple[Token, PosTag]] = []
     tokens: dict[str, Token] = {}
     pairs: dict[tuple[str, str], tuple[Token, PosTag]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -8,6 +8,7 @@ from posscore.core import (
     FULL_TAG_SET,
     EvaluationSet,
     PosTag,
+    TaggedSentence,
     TagSet,
     Token,
     tokenize,
@@ -142,3 +143,19 @@ class TestEvaluationSet:
             )
             assert ev.bad_slot == bad
             assert {ev.good_slot, ev.bad_slot} == {"a", "b"}
+
+
+def test_corpus_types_keep_no_instance_dict():
+    # one instance of each is kept per token, sentence or set of a run
+    instances = [
+        Token("cat"),
+        TaggedSentence.from_strings([("the", "DET"), ("cat", "NOUN")]),
+        EvaluationSet(
+            id="x", context=(), reference="r",
+            candidate_a="a", candidate_b="b", human_a=2.0, human_b=4.0,
+        ),
+    ]
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    with pytest.raises(AttributeError):
+        instances[0].norm = "dog"

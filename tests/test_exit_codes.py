@@ -1,0 +1,135 @@
+"""The exit-code contract: a bad input exits 2 with a message that names the
+file (and its line) or the flag at fault; no input makes a command exit 1.
+
+`test_mutated_inputs_exit_0_or_2` is a seeded mutation test. Each case
+damages the bytes of one input of the fixture workspace and runs the
+command that reads it in process.
+"""
+
+import json
+import random
+import re
+
+import pytest
+
+from posscore.cli import main
+
+#: input kind -> (workspace file the case starts from, command reading it as {path})
+KINDS = {
+    "corpus": ("corpus.jsonl", ["score", "--corpus", "{path}", "--metrics", "bleu1,meteor"]),
+    "tags": ("tags.tsv", ["score", "--corpus", "{ws}/corpus.jsonl", "--tags", "{path}",
+                          "--embeddings", "{ws}/vectors.vec", "--metrics", "posscore,ptlc:bleu1"]),
+    "vec": ("vectors.vec", ["score", "--corpus", "{ws}/corpus.jsonl", "--metrics", "ea",
+                            "--embeddings", "{path}"]),
+    "synonyms": ("synonyms.tsv", ["score", "--corpus", "{ws}/corpus.jsonl", "--metrics", "meteor",
+                                  "--synonyms", "{path}"]),
+    "external": ("external.csv", ["evaluate", "--corpus", "{ws}/corpus.jsonl",
+                                  "--metrics", "bleu1", "--external-scores", "{path}"]),
+    "model": ("model.tsv", ["tag", "--corpus", "{ws}/corpus.jsonl", "--tagger-model", "{path}"]),
+    "usr": ("usr.json", ["convert", "--format", "usr", "--input", "{path}"]),
+    "forum": ("forum.json", ["analyze", "--corpus", "{ws}/corpus.jsonl", "--tags", "{ws}/tags.tsv",
+                             "--forum-json", "{path}"]),
+    "config": ("run.cfg", ["evaluate", "--config", "{path}"]),
+}
+
+
+@pytest.fixture(scope="module")
+def workspace(cli_workspace, tmp_path_factory):
+    """The CLI fixture workspace plus a tagger model and a config file; the
+    JSON inputs are indented, so that they span many lines.
+    """
+    ws = tmp_path_factory.mktemp("exit-codes")
+    for name in ("corpus.jsonl", "tags.tsv", "vectors.vec", "synonyms.tsv", "external.csv"):
+        (ws / name).write_bytes((cli_workspace / name).read_bytes())
+    for name in ("usr.json", "forum.json"):
+        data = json.loads((cli_workspace / name).read_text(encoding="utf-8"))
+        (ws / name).write_text(json.dumps(data, indent=1), encoding="utf-8")
+    assert main(["tag", "--train", str(ws / "tags.tsv"), "--epochs", "1",
+                 "--out", str(ws / "model.tsv")]) == 0
+    (ws / "run.cfg").write_text(
+        "# evaluate on the fixture workspace\n"
+        f"corpus={ws}/corpus.jsonl\n"
+        f"tags={ws}/tags.tsv\n"
+        f"embeddings={ws}/vectors.vec\n"
+        "metrics=posscore:verb+noun,bleu2,ea\n"
+        "count-punct=off\n"
+        "sample=5\n"
+        "seed=3\n"
+        "bonferroni=on\n",
+        encoding="utf-8",
+    )
+    return ws
+
+
+def run_case(kind, ws, data, tmp_path, capsys):
+    """Run the command of `kind` on `data` as its input; (exit code, stderr, input path)."""
+    name, command = KINDS[kind]
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = [arg.format(ws=ws, path=path) for arg in command]
+    out = tmp_path / ("out" if kind in ("forum", "model") else "out.csv")
+    rc = main(argv + ["--out", str(out)])
+    return rc, capsys.readouterr().err, path
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bytes_that_are_not_utf8_name_the_file_and_line(kind, workspace, tmp_path, capsys):
+    lines = (workspace / KINDS[kind][0]).read_bytes().splitlines(keepends=True)
+    k = len(lines) // 2  # the middle line, 0-based
+    lines[k] = lines[k][:2] + b"\xff" + lines[k][2:]
+    rc, err, path = run_case(kind, workspace, b"".join(lines), tmp_path, capsys)
+    assert rc == 2
+    assert err == f"error: {path}: line {k + 1}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
+
+#: Bytes that mean something to one input format or another.
+SPECIAL = [b"\xff", b"\xc3", b"\x00", b"\t", b"\n", b"\r", b" ", b",", b"=", b"#", b'"', b"\\",
+           b"{", b"}", b"[", b"]", b":", b"-", b".", b"0", b"9", b"e", b"nan", b"1e999", b"A"]
+
+#: Cases per input kind; the whole test takes a few seconds.
+CASES_PER_KIND = 56
+
+
+def mutate(data: bytes, rng: random.Random) -> tuple[str, bytes]:
+    """One random edit of data, and its description."""
+    op = rng.choice(["replace", "insert", "delete", "truncate", "repeat-line", "drop-line"])
+    at = rng.randrange(len(data) + 1)
+    if op == "replace":
+        new = rng.choice(SPECIAL)
+        return f"{op} {at} {new!r}", data[:at] + new + data[at + 1 :]
+    if op == "insert":
+        new = rng.choice(SPECIAL)
+        return f"{op} {at} {new!r}", data[:at] + new + data[at:]
+    if op == "delete":
+        n = rng.randint(1, 8)
+        return f"{op} {at} {n}", data[:at] + data[at + n :]
+    if op == "truncate":
+        return f"{op} {at}", data[:at]
+    lines = data.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    if op == "repeat-line":
+        lines.insert(k, lines[k])
+    else:
+        del lines[k]
+    return f"{op} {k}", b"".join(lines)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_inputs_exit_0_or_2(kind, workspace, tmp_path, capsys):
+    original = (workspace / KINDS[kind][0]).read_bytes()
+    seed = list(KINDS).index(kind)
+    for case in range(CASES_PER_KIND):
+        rng = random.Random(f"{seed}:{case}")
+        edit, data = mutate(original, rng)
+        rc, err, path = run_case(kind, workspace, data, tmp_path, capsys)
+        where = f"{kind} case {case} ({edit}): exit {rc}: {err!r}"
+        assert rc in (0, 2), where
+        if rc == 2:
+            assert str(path) in err or re.search(r"--[a-z]", err), where
+
+
+@pytest.mark.parametrize("value", ["", "."])
+def test_a_directory_given_as_an_input_names_the_flag(value, tmp_path, capsys):
+    # an empty value reads as ".", the working directory
+    assert main(["score", "--corpus", value, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.endswith(f"argument --corpus: is a directory: {value}\n")
