@@ -5,9 +5,11 @@ Everything here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import gzip
 import io
 import re
 import string
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -216,17 +218,20 @@ def open_text(
     path, newline: str | None = None, opener: Callable = open
 ) -> Iterator[io.TextIOWrapper]:
     """Open an input file as UTF-8 text; `opener` opens it in binary (gzip.open
-    for a .vec.gz). A byte that is not UTF-8 raises ValueError naming the
-    file and its line.
+    for a .vec.gz). A byte that is not UTF-8, or gzip data that is cut short
+    or damaged, raises ValueError naming the file (and the line of the byte).
     """
     try:
-        with opener(path, "rb") as raw:
-            yield io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
-    except UnicodeDecodeError as exc:
-        # read it again, each bad byte kept as a surrogate, to find its line
-        with opener(path, "rb") as raw:
-            text = io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline)
-            bad = (n for n, line in enumerate(text, 1) if re.search("[\udc80-\udcff]", line))
-            lineno = next(bad, "?")
-        why = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-        raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({why})") from None
+        try:
+            with opener(path, "rb") as raw:
+                yield io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+        except UnicodeDecodeError as exc:
+            # read it again, each bad byte kept as a surrogate, to find its line
+            with opener(path, "rb") as raw:
+                text = io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline)
+                bad = (n for n, line in enumerate(text, 1) if re.search("[\udc80-\udcff]", line))
+                lineno = next(bad, "?")
+            why = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({why})") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: not a valid gzip file ({exc})") from None

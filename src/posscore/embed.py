@@ -21,14 +21,21 @@ from .core import Token, open_text
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Immutable norm-token → vector map: norm's vector is row index[norm] of
-    one read-only (V, dim) float64 matrix. OOV tokens are skipped on lookup."""
+    one read-only (V, dim) matrix, float64 values with scale None, or int32
+    codes with a power-of-ten scale, each value being code / scale (see
+    `_store`). OOV tokens are skipped on lookup."""
 
     index: Mapping[str, int]
     matrix: np.ndarray
+    scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2 or len(self.matrix) != len(self.index) or not self.dim:
             raise ValueError(f"need {len(self.index)} rows of dim >= 1, got {self.matrix.shape}")
+        dtype, scale = self.matrix.dtype, self.scale
+        if not (dtype == np.float64 and scale is None or dtype == np.int32 and scale in _SCALES):
+            raise ValueError(f"need a float64 matrix with scale None or an int32 one with scale "
+                             f"10**d, d in 0..9; got {dtype} with scale {scale!r}")
         self.matrix.setflags(write=False)
 
     @property
@@ -42,9 +49,16 @@ class EmbeddingTable:
         return len(self.index)
 
     def get(self, norm: str) -> np.ndarray | None:
-        """A read-only view of the row of norm; None when it is out of vocabulary."""
+        """The read-only float64 row of norm, a view of a float64 matrix or a
+        copy decoded from an int32 one; None when it is out of vocabulary."""
         row = self.index.get(norm)
-        return None if row is None else self.matrix[row]
+        if row is None:
+            return None
+        if self.scale is None:
+            return self.matrix[row]
+        values = self.matrix[row] / self.scale
+        values.setflags(write=False)
+        return values
 
     @classmethod
     def from_dict(cls, vectors: Mapping[str, Iterable[float]]) -> "EmbeddingTable":
@@ -101,8 +115,10 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
     dimension: a mismatch, or in a kept row a non-numeric or non-finite
     value or a squared norm past the float range, raises ValueError naming
     the line. Values follow Python `float()` syntax. Kept rows are parsed a
-    block at a time into a matrix of one row per `vocab_filter` word
-    (without one, it doubles when full), cut at the end.
+    block at a time and stored in a matrix of one row per `vocab_filter`
+    word (without one, it doubles when full), cut at the end: as int32 codes
+    when a power-of-ten scale holds every value exactly, as in a file of
+    decimals, else as float64 (`_store`).
     """
     path = Path(path)
     index: dict[str, int] = {}
@@ -117,7 +133,8 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             raise ValueError(f"{path}: line 1: non-integer dimension {parts[1]!r}") from None
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
-        matrix = np.empty((1024 if vocab_filter is None else len(vocab_filter), dim))
+        matrix = np.empty((1024 if vocab_filter is None else len(vocab_filter), dim), np.int32)
+        scale = None  # picked by the first block
         for lineno, line in enumerate(text, start=2):
             if line.isspace():
                 continue
@@ -126,7 +143,7 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             padded = line.endswith((" \n", " "))
             count = line.count(" ") - padded
             if count != dim:  # a bad value on an earlier line is reported first
-                _parse_rows(path, matrix, len(index), pending)
+                _parse_rows(path, dim, pending)
                 raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
             cut = line.find(" ")
             token = line[:cut].casefold()
@@ -139,10 +156,10 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             values = line[cut + 1 : len(line) - padded - line.endswith("\n")]
             pending.append((lineno, token, values))
             if len(pending) == _BLOCK_ROWS:
-                _parse_rows(path, matrix, len(index), pending)
-        _parse_rows(path, matrix, len(index), pending)
+                matrix, scale = _store(matrix, scale, len(index), _parse_rows(path, dim, pending))
+        matrix, scale = _store(matrix, scale, len(index), _parse_rows(path, dim, pending))
     matrix.resize((len(index), dim), refcheck=False)
-    return EmbeddingTable(index, matrix)
+    return EmbeddingTable(index, matrix, scale)
 
 
 #: Kept rows parsed per np.loadtxt call: enough to pay its fixed cost, few
@@ -150,11 +167,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
 _BLOCK_ROWS = 64
 
 
-def _parse_rows(
-    path: Path, matrix: np.ndarray, stop: int, pending: list[tuple[int, str, str]]
-) -> None:
-    """Parse the pending rows into the rows of matrix that end at stop, check
-    each in order, then empty pending.
+def _parse_rows(path: Path, dim: int, pending: list[tuple[int, str, str]]) -> np.ndarray:
+    """Parse the pending rows into a float64 (len(pending), dim) array, check
+    each in order, empty pending and return the array.
 
     np.loadtxt parses a block of non-empty printable-ASCII text in one call;
     on such text it accepts no value that float() refuses, with the same
@@ -163,29 +178,59 @@ def _parse_rows(
     float()'s. Elsewhere loadtxt would strip characters such as \x1c, and it
     skips empty rows.
     """
-    rows = matrix[stop - len(pending) : stop]
     texts = [values for _, _, values in pending]
-    parsed = None
+    rows = None
     if texts and all(t and t.isascii() and t.isprintable() for t in texts):
         try:
-            parsed = np.loadtxt(
+            rows = np.loadtxt(
                 texts, dtype=np.float64, delimiter=" ", ndmin=2, comments=None, quotechar=None
             )
         except ValueError:
             pass
-    bulk = parsed is not None and parsed.shape == rows.shape  # a skipped row would broadcast
-    if bulk:
-        rows[:] = parsed
+    bulk = rows is not None and rows.shape == (len(pending), dim)  # loadtxt skips an empty row
+    if not bulk:
+        rows = np.empty((len(pending), dim))
     for row, (lineno, token, values) in zip(rows, pending):
         if not bulk:
             try:
-                row[:] = np.fromiter(map(float, values.split(" ")), np.float64, count=len(row))
+                row[:] = np.fromiter(map(float, values.split(" ")), np.float64, count=dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
         problem = _row_problem(row)
         if problem:
             raise ValueError(f"{path}: line {lineno}: {problem} in {token!r}")
     pending.clear()
+    return rows
+
+
+#: The scales of an int32 matrix: 10**d for d in 0..9, each an exact double.
+_SCALES = tuple(float(10**d) for d in range(10))
+
+
+def _store(
+    matrix: np.ndarray, scale: float | None, stop: int, rows: np.ndarray
+) -> tuple[np.ndarray, float | None]:
+    """Store the parsed rows in the rows of matrix that end at stop; return
+    the matrix and its scale, both of which may change.
+
+    An int32 matrix holds a value v as the code q = rint(v * scale), kept
+    only when |q| < 2**31 and q / scale == v, so dividing by the scale gives
+    v back exactly; a -0.0 comes back as 0.0, which no sum from +0.0 can
+    tell apart. The first block (it ends at stop == len(rows)) picks the
+    smallest scale in _SCALES that holds all its values. When none does, or a
+    later block does not fit the scale, the matrix turns float64, the rows
+    stored so far decoded exactly, and stays so.
+    """
+    start = stop - len(rows)
+    if matrix.dtype == np.int32:
+        for s in _SCALES if start == 0 else (scale,):
+            codes = np.rint(rows * s)
+            if (np.abs(codes) < 2**31).all() and (codes / s == rows).all():
+                matrix[start:stop] = codes
+                return matrix, s
+        matrix = matrix / scale if start else np.empty(matrix.shape)
+    matrix[start:stop] = rows
+    return matrix, None
 
 
 def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> SentenceVector:
@@ -206,7 +251,10 @@ def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> Sentenc
         return SentenceVector(values=np.zeros(table.dim, dtype=np.float64), support=0)
     total = sum(counts.values())
     rows = table.matrix.take(list(counts), axis=0)
-    rows *= np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[:, None]
+    if table.scale is not None:
+        rows = rows / table.scale  # the float64 values the loader parsed, -0.0 as 0.0
+    if total > len(counts):  # some word repeats
+        rows *= np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[:, None]
     acc = np.add.reduce(rows, axis=0, initial=0.0)
     if table.dim == 1:  # reduce sums a lone column pairwise; accumulate keeps the order,
         acc = np.add.accumulate(rows)[-1] + 0.0  # and + 0.0 turns a -0.0 total into +0.0

@@ -110,14 +110,21 @@ class TestLoadVec:
         assert load_vec(p, vocab_filter={"a"}).get("a")[0] == 1e154
 
     def test_rows_are_read_only_views_of_one_matrix(self, tmp_path):
+        # a float64 table hands out views of its matrix; an int32 one, read
+        # from decimals, read-only float64 copies of the decoded rows
         p = tmp_path / "t.vec"
-        p.write_text("3 2\na 1.0 0.0\nb 0.0 1.0\nc 0.5 0.5\n")
-        table = load_vec(p, vocab_filter={"c", "a", "z"})
-        assert table.matrix.shape == (2, 2) and table.index == {"a": 0, "c": 1}
-        row = table.get("c")
-        assert np.shares_memory(row, table.matrix) and not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 9.0
+        for c, scale in [("0.1 1e-20", None), ("0.5 0.5", 10.0)]:
+            p.write_text(f"3 2\na 1.0 0.0\nb 0.0 1.0\nc {c}\n")
+            table = load_vec(p, vocab_filter={"c", "a", "z"})
+            assert table.matrix.shape == (2, 2) and table.index == {"a": 0, "c": 1}
+            assert table.scale == scale
+            row = table.get("c")
+            assert row.dtype == np.float64 and not row.flags.writeable
+            assert np.shares_memory(row, table.matrix) == (scale is None)
+            assert row.tobytes() == float_rows(table)[1].tobytes()
+            np.testing.assert_array_equal(row, [float(x) for x in c.split()])
+            with pytest.raises(ValueError):
+                row[0] = 9.0
 
     def test_unfiltered_load_grows_past_its_first_capacity(self, tmp_path):
         # 2,500 rows, more than the 1,024 the matrix starts with, plus one
@@ -133,13 +140,13 @@ class TestLoadVec:
         table = load_vec(p)
         assert len(table) == 2500 and table.matrix.shape == (2500, 3)
         assert table.index == {f"w{i}": i for i in range(2500)}
-        assert table.matrix.tobytes() == values.tobytes()
+        assert (float_rows(table) + 0.0).tobytes() == (values + 0.0).tobytes()
         assert not table.matrix.flags.writeable
 
     def test_filtered_load_holds_the_rows_once(self, tmp_path):
-        # every filtered word has a row, so the table is 2,000 x 128 x 8
-        # bytes; a loader that builds one array per row and stacks them at
-        # the end peaks above twice that
+        # every filtered word has a row, so its values are 2,000 x 128 x 8
+        # bytes as float64 (the int32 table takes half); a loader that builds
+        # one array per row and stacks them at the end peaks above twice that
         words = [f"word{i}" for i in range(2000)]
         dim = 128
         rng = np.random.default_rng(22)
@@ -160,9 +167,16 @@ class TestLoadVec:
         assert peak < 1.5 * len(wanted) * dim * 8
 
 
+def float_rows(table):
+    """The table's rows as float64 values: an int32 matrix divided by its scale."""
+    return table.matrix if table.scale is None else table.matrix / table.scale
+
+
 def load_both(path, vocab_filter=None):
     """What load_vec and the row-wise oracle make of one file: (index, shape,
-    matrix bytes) or the ValueError text, for each. A warning fails the test.
+    bytes of the float64 rows) or the ValueError text, for each; `+ 0.0`
+    turns a -0.0 into 0.0, the one value an int32 table does not keep. A
+    warning fails the test.
     """
     out = []
     for load in (load_vec, rowwise_load_vec):
@@ -173,8 +187,8 @@ def load_both(path, vocab_filter=None):
         except ValueError as exc:
             out.append(str(exc))
             continue
-        index, matrix = (got.index, got.matrix) if isinstance(got, EmbeddingTable) else got
-        out.append((dict(index), matrix.shape, matrix.tobytes()))
+        index, rows = (got.index, float_rows(got)) if isinstance(got, EmbeddingTable) else got
+        out.append((dict(index), rows.shape, (rows + 0.0).tobytes()))
     return out
 
 
@@ -254,6 +268,88 @@ class TestLoadVecMatchesRowwiseOracle:
         p.write_text("2 2\ncat 1\x1c 2\ndog 3 4\n")
         new, old = load_both(p)
         assert new == old == f"{p}: line 2: could not convert string to float: '1\\x1c'"
+
+
+#: Storage cases: name -> the scale the table should get (None: float64).
+#: Each file has 200 rows of 4-decimal values in (-2, 2) unless its name
+#: says otherwise; row 180 is in the third block of kept rows unfiltered and
+#: in the second filtered.
+STORAGE_CASES = {
+    **{f"decimals-{d}": 10.0**d for d in range(10)},
+    "negative-zero": 1e4,  # every third row starts with -0.0000
+    "exponent": 1e4,  # 1e-3 and -2.5E+2 in the first block
+    "dim-1": 1e4,
+    "past-int32": None,  # 214748.3648 is the code 2**31 at scale 1e4
+    "past-int32-later": None,  # the same value in row 180
+    "more-decimals-later": None,  # 0.12345 in row 180
+}
+
+
+def storage_rows(case, rng):
+    """(dim, value texts of the 200 rows) of a storage case."""
+    dim = 1 if case == "dim-1" else 5
+    decimals = int(case.split("-")[1]) if case.startswith("decimals-") else 4
+    rows = [[f"{x:.{decimals}f}" for x in rng.uniform(-2, 2, dim)] for _ in range(200)]
+    if case == "negative-zero":
+        for row in rows[::3]:
+            row[0] = "-0.0000"
+    elif case == "exponent":
+        rows[2][0], rows[4][1] = "1e-3", "-2.5E+2"
+    elif case == "past-int32":
+        rows[0][0] = "214748.3648"
+    elif case == "past-int32-later":
+        rows[180][0] = "214748.3648"
+    elif case == "more-decimals-later":
+        rows[180][0] = "0.12345"
+    return dim, rows
+
+
+class TestStoragePaths:
+    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+    @pytest.mark.parametrize("case", STORAGE_CASES)
+    def test_each_storage_matches_the_rowwise_oracle(self, tmp_path, case, filtered):
+        # int32 codes when one power of ten holds every value exactly, else
+        # float64; either way the averages are the oracle's to the bit
+        seed = list(STORAGE_CASES).index(case)
+        dim, rows = storage_rows(case, np.random.default_rng(seed))
+        words = [f"w{i}" for i in range(len(rows))]
+        p = tmp_path / "t.vec"
+        p.write_text(
+            f"{len(rows)} {dim}\n" + "".join(f"{w} {' '.join(r)}\n" for w, r in zip(words, rows)),
+            encoding="utf-8",
+        )
+        vocab = set(words[::2]) | {"absent"} if filtered else None
+        table = load_vec(p, vocab)
+        index, matrix = rowwise_load_vec(p, vocab)
+        scale = STORAGE_CASES[case]
+        assert table.index == index and table.scale == scale
+        assert table.matrix.dtype == (np.float64 if scale is None else np.int32)
+        assert table.matrix.nbytes == (8 if scale is None else 4) * len(index) * dim
+        assert (float_rows(table) + 0.0).tobytes() == (matrix + 0.0).tobytes()
+        oracle_rows = {w: matrix[i] for w, i in index.items()}
+        pick = random.Random(seed)
+        for _ in range(200):
+            norms = [pick.choice(words[:8] + ["oov"]) for _ in range(pick.choice([0, 1, 2, 5, 30]))]
+            norms += pick.sample(words, pick.randint(0, 40))
+            got = average_embedding(toks(*norms), table)
+            assert got.values.tobytes() == sequential_average(norms, oracle_rows, dim).tobytes()
+
+    def test_a_decimal_file_takes_four_bytes_a_value(self, tmp_path):
+        p = tmp_path / "t.vec"
+        p.write_text("3 4\nchess 0.1 0.2 0.3 0.4\nlove 0.0 0.5 0.5 -0.0\nfun 0.9 0.1 0.0 0.2\n")
+        table = load_vec(p)
+        assert table.matrix.dtype == np.int32 and table.scale == 10.0
+        assert table.matrix.nbytes == 4 * 3 * 4
+        assert table.get("love").tobytes() == np.array([0.0, 0.5, 0.5, 0.0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "dtype, scale",
+        [(np.int32, None), (np.float64, 10.0), (np.int32, 3.0), (np.int32, 1e10),
+         (np.int64, 10.0), (np.float32, None)],
+    )
+    def test_a_matrix_and_scale_that_do_not_pair_are_refused(self, dtype, scale):
+        with pytest.raises(ValueError, match="float64 matrix with scale None or an int32 one"):
+            EmbeddingTable({"a": 0}, np.ones((1, 2), dtype), scale)
 
 
 class TestFromDict:

@@ -6,6 +6,7 @@ damages the bytes of one input of the fixture workspace and runs the
 command that reads it in process.
 """
 
+import gzip
 import json
 import random
 import re
@@ -30,17 +31,20 @@ KINDS = {
     "forum": ("forum.json", ["analyze", "--corpus", "{ws}/corpus.jsonl", "--tags", "{ws}/tags.tsv",
                              "--forum-json", "{path}"]),
     "config": ("run.cfg", ["evaluate", "--config", "{path}"]),
+    "vec.gz": ("vectors.vec.gz", ["score", "--corpus", "{ws}/corpus.jsonl", "--metrics", "ea",
+                                  "--embeddings", "{path}"]),
 }
 
 
 @pytest.fixture(scope="module")
 def workspace(cli_workspace, tmp_path_factory):
-    """The CLI fixture workspace plus a tagger model and a config file; the
-    JSON inputs are indented, so that they span many lines.
+    """The CLI fixture workspace plus a tagger model, a config file and the
+    .vec gzipped; the JSON inputs are indented, so that they span many lines.
     """
     ws = tmp_path_factory.mktemp("exit-codes")
     for name in ("corpus.jsonl", "tags.tsv", "vectors.vec", "synonyms.tsv", "external.csv"):
         (ws / name).write_bytes((cli_workspace / name).read_bytes())
+    (ws / "vectors.vec.gz").write_bytes(gzip.compress((ws / "vectors.vec").read_bytes(), mtime=0))
     for name in ("usr.json", "forum.json"):
         data = json.loads((cli_workspace / name).read_text(encoding="utf-8"))
         (ws / name).write_text(json.dumps(data, indent=1), encoding="utf-8")
@@ -74,10 +78,14 @@ def run_case(kind, ws, data, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_bytes_that_are_not_utf8_name_the_file_and_line(kind, workspace, tmp_path, capsys):
-    lines = (workspace / KINDS[kind][0]).read_bytes().splitlines(keepends=True)
+    # a .vec.gz has the byte in its text, compressed again
+    data = (workspace / KINDS[kind][0]).read_bytes()
+    lines = (gzip.decompress(data) if kind == "vec.gz" else data).splitlines(keepends=True)
     k = len(lines) // 2  # the middle line, 0-based
     lines[k] = lines[k][:2] + b"\xff" + lines[k][2:]
-    rc, err, path = run_case(kind, workspace, b"".join(lines), tmp_path, capsys)
+    data = b"".join(lines)
+    data = gzip.compress(data, mtime=0) if kind == "vec.gz" else data
+    rc, err, path = run_case(kind, workspace, data, tmp_path, capsys)
     assert rc == 2
     assert err == f"error: {path}: line {k + 1}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
@@ -126,6 +134,20 @@ def test_mutated_inputs_exit_0_or_2(kind, workspace, tmp_path, capsys):
         assert rc in (0, 2), where
         if rc == 2:
             assert str(path) in err or re.search(r"--[a-z]", err), where
+
+
+@pytest.mark.parametrize(
+    "damage, why",
+    [(lambda data: data[: len(data) // 2],
+      "Compressed file ended before the end-of-stream marker was reached"),
+     (gzip.decompress, "Not a gzipped file (b'")],
+    ids=["truncated", "not-gzip"],
+)
+def test_a_damaged_vec_gz_names_the_file(damage, why, workspace, tmp_path, capsys):
+    # the first once exited 1, and the second named no file
+    data = damage((workspace / "vectors.vec.gz").read_bytes())
+    rc, err, path = run_case("vec.gz", workspace, data, tmp_path, capsys)
+    assert rc == 2 and err.startswith(f"error: {path}: not a valid gzip file ({why}")
 
 
 @pytest.mark.parametrize("value", ["", "."])
