@@ -8,13 +8,11 @@ preferences.
 """
 
 from .basemetrics import (
-    ExternalScoreFile,
     MetricScore,
     PreparedTokens,
     SynonymLexicon,
     bleu_n,
     embedding_average,
-    load_external_scores,
     meteor,
 )
 from .core import (
@@ -35,6 +33,7 @@ from .ingest import (
     ForumAnswer,
     build_forum_sets,
     build_usr_sets,
+    load_external_scores,
     load_forum_json,
     load_jsonl,
     load_usr_json,
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_TAG_SET",
     "EmbeddingTable",
     "EvaluationSet",
-    "ExternalScoreFile",
     "FULL_TAG_SET",
     "ForumAnswer",
     "Metric",

@@ -1,5 +1,5 @@
-"""Reference-based baseline metrics: sentence BLEU-1..4, METEOR, Embedding
-Average, plus ingestion of precomputed external score files.
+"""Reference-based baseline metrics: sentence BLEU-1..4, METEOR and Embedding
+Average.
 
 BLEU uses an epsilon floor (1e-9) on zero precision counts instead of a
 smoothing schedule, so short responses never hard-zero. METEOR follows the
@@ -13,7 +13,6 @@ alignment found is scored and exact_alignment = 0.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import Counter
@@ -412,49 +411,3 @@ def embedding_average(reference: Tokens, candidate: Tokens, table: EmbeddingTabl
         value,
         {"ref_support": float(u.support), "cand_support": float(v.support)},
     )
-
-
-@dataclass(frozen=True)
-class ExternalScoreFile:
-    """Precomputed per-candidate scores keyed by (set id, slot)."""
-
-    rows: Mapping[tuple[str, str], float]
-
-    def pair(self, set_id: str) -> tuple[float, float]:
-        """Scores for both slots of one set; raises KeyError naming the gap."""
-        try:
-            return self.rows[(set_id, "a")], self.rows[(set_id, "b")]
-        except KeyError:
-            missing = [s for s in ("a", "b") if (set_id, s) not in self.rows]
-            raise KeyError(
-                f"external scores missing slot(s) {','.join(missing)} for set {set_id!r}"
-            ) from None
-
-
-def load_external_scores(path: str | Path) -> ExternalScoreFile:
-    """Parse a ``set_id,slot,score`` CSV; duplicates and bad slots are errors."""
-    rows: dict[tuple[str, str], float] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["set_id", "slot", "score"]:
-            raise ValueError(f"{path}: expected header 'set_id,slot,score', got {header}")
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: row {rownum}: expected 3 fields, got {len(row)}")
-            set_id, slot, raw = row
-            if slot not in ("a", "b"):
-                raise ValueError(f"{path}: row {rownum}: slot must be 'a' or 'b', got {slot!r}")
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric score {raw!r}") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: row {rownum}: non-finite score {raw!r}")
-            key = (set_id, slot)
-            if key in rows:
-                raise ValueError(f"{path}: row {rownum}: duplicate entry for {key}")
-            rows[key] = score
-    return ExternalScoreFile(rows=rows)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .basemetrics import SynonymLexicon, load_external_scores
+from .basemetrics import SynonymLexicon
 # the benchmark's tests check that its instruments rebind these names here
 from .basemetrics import bleu_n, meteor  # noqa: F401
 from .core import (
@@ -32,6 +32,7 @@ from .embed import load_vec
 from .ingest import (
     build_forum_sets,
     build_usr_sets,
+    load_external_scores,
     load_forum_json,
     load_jsonl,
     load_usr_json,
@@ -167,7 +168,8 @@ def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
 
     A tags file carries three sentences per evaluation set of the whole
     corpus, in corpus order: reference, candidate a, candidate b. Its
-    tokenization is authoritative for all metrics in the run.
+    tokenization is authoritative for all metrics in the run. It is refused when
+    most picked sentences differ from their texts, as when shifted by a sentence.
     """
     # the sample depends on positions and the seed only: draw it first, and
     # tag or tokenize only the picked sets
@@ -181,6 +183,15 @@ def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
                 f"(3 per evaluation set), found {len(sentences)}"
             )
         sentences = [sentences[3 * i + k] for i in picked for k in range(3)]
+        spelled = ("".join(tok.surface for tok, _ in sentence) for sentence in sentences)
+        differ = [j for j, (text, surfaces) in enumerate(zip(_texts(sampled), spelled))
+                  if "".join(text.split()).casefold() != "".join(surfaces.split()).casefold()]
+        if 2 * len(differ) > len(sentences):
+            i, k = divmod(differ[0], 3)
+            role = ("reference", "candidate a", "candidate b")[k]
+            raise ValueError(f"{args.tags}: sentence {3 * picked[i] + k + 1} does not match the "
+                             f"{role} of set {sampled[i].id!r}; {len(differ)} of {len(sentences)} "
+                             "sentences differ from --corpus")
     elif args.tagger_model is not None:
         model = load_model(args.tagger_model)
         pairs = {}  # one (token, tag) pair per distinct pair of the run
@@ -244,11 +255,10 @@ def _run_scoring(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
     if args.external_scores is not None:
         # an external score file joins the run as metric id ext:<file stem>
         ext = load_external_scores(args.external_scores)
-        try:
-            pairs = {ev.id: ext.pair(ev.id) for ev in corpus}
-        except KeyError as exc:
-            raise ValueError(f"--external-scores: {exc.args[0]}") from None
-        columns[f"ext:{args.external_scores.stem}"] = ("", pairs)
+        for ev in corpus:
+            if ev.id not in ext:
+                raise ValueError(f"{args.external_scores}: no scores for set {ev.id!r}")
+        columns[f"ext:{args.external_scores.stem}"] = ("", ext)
     return corpus, dict(sorted(columns.items()))
 
 
@@ -285,6 +295,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                        key=lambda mid: powers[mid][0].power, default=None)
     elif baseline not in table:
         raise ValueError(f"--baseline: metric {baseline!r} is not among the computed metrics")
+    if baseline is not None and len(corpus) < 2:
+        sample = f" with --sample {args.sample}" if args.sample is not None else ""
+        raise ValueError(f"--corpus {args.corpus}{sample} gives {len(corpus)} evaluation set; "
+                         f"the paired t-test against baseline {baseline!r} needs at least 2")
     n_comparisons = max(len(table) - 1, 1)
     header = ["metric_id", "tagset", "power", "correct", "total", "p_vs_baseline"]
     header += ["p_bonferroni"] if args.bonferroni else []

@@ -1,5 +1,6 @@
-"""Corpus ingestion: the canonical JSONL interchange format plus one-way
-converters from USR-style annotated JSON and forum-style (vote-based) JSON.
+"""Corpus ingestion: the canonical JSONL interchange format, one-way
+converters from USR-style annotated JSON and forum-style (vote-based) JSON,
+and precomputed external score files.
 
 Every loader enforces the global tie-exclusion invariant: no emitted
 EvaluationSet has equal human scores.
@@ -7,6 +8,7 @@ EvaluationSet has equal human scores.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -200,6 +202,37 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
     if not sets:
         raise ValueError(f"{path}: no evaluation sets")
     return sets
+
+
+def load_external_scores(path: str | Path) -> dict[str, tuple[float, float]]:
+    """Read a ``set_id,slot,score`` CSV as set id -> (score a, score b). A bad
+    row, a repeated (set, slot) row or a set with one slot only raises, naming the row.
+    """
+    scores: dict[str, list] = {}  # set id -> [score a, score b, its first row]
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["set_id", "slot", "score"]:
+            raise ValueError(f"{path}: expected header 'set_id,slot,score', got {header}")
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}: row {rownum}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+            set_id, slot, raw = row
+            if slot not in ("a", "b"):
+                raise ValueError(f"{where}: slot must be 'a' or 'b', got {slot!r}")
+            given = scores.setdefault(set_id, [None, None, rownum])
+            k = ("a", "b").index(slot)
+            if given[k] is not None:
+                raise ValueError(f"{where}: duplicate entry for {(set_id, slot)}")
+            given[k] = _score(raw, f"{where}: score")
+    for set_id, (a, b, rownum) in scores.items():
+        if a is None or b is None:
+            raise ValueError(f"{path}: row {rownum}: set {set_id!r} has no slot "
+                             f"'{'a' if a is None else 'b'}' score")
+    return {set_id: (a, b) for set_id, (a, b, _) in scores.items()}
 
 
 def write_jsonl(sets: Sequence[EvaluationSet], path: str | Path) -> None:

@@ -10,7 +10,6 @@ from posscore.basemetrics import (
     _max_matching,
     bleu_n,
     embedding_average,
-    load_external_scores,
     meteor,
 )
 from posscore.core import Token, tokenize
@@ -275,42 +274,3 @@ class TestSynonymLexicon:
         with pytest.raises(ValueError, match="line 1"):
             SynonymLexicon.load(p)
 
-
-class TestExternalScores:
-    def write(self, tmp_path, body):
-        p = tmp_path / "ext.csv"
-        p.write_text("set_id,slot,score\n" + body)
-        return p
-
-    def test_roundtrip(self, tmp_path):
-        p = self.write(tmp_path, "s1,a,0.5\ns1,b,0.25\ns2,a,1.0\ns2,b,0.75\n")
-        ext = load_external_scores(p)
-        assert ext.pair("s1") == (0.5, 0.25)
-        assert ext.pair("s2") == (1.0, 0.75)
-
-    def test_duplicate_rejected(self, tmp_path):
-        p = self.write(tmp_path, "s1,a,0.5\ns1,a,0.6\n")
-        with pytest.raises(ValueError, match="row 3"):
-            load_external_scores(p)
-
-    def test_bad_slot(self, tmp_path):
-        p = self.write(tmp_path, "s1,c,0.5\n")
-        with pytest.raises(ValueError, match="slot"):
-            load_external_scores(p)
-
-    def test_non_numeric(self, tmp_path):
-        p = self.write(tmp_path, "s1,a,abc\n")
-        with pytest.raises(ValueError, match="non-numeric"):
-            load_external_scores(p)
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "ext.csv"
-        p.write_text("id,slot,value\ns1,a,0.5\n")
-        with pytest.raises(ValueError, match="header"):
-            load_external_scores(p)
-
-    def test_missing_slot_detected_on_pair(self, tmp_path):
-        p = self.write(tmp_path, "s1,a,0.5\n")
-        ext = load_external_scores(p)
-        with pytest.raises(KeyError, match="s1"):
-            ext.pair("s1")

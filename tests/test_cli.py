@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from posscore.cli import main
-from posscore.core import tokenize
-from posscore.postag import MODEL_MAGIC, load_tagged, remap_aux_to_verb
+from posscore.core import TaggedSentence, Token, tokenize
+from posscore.ingest import reservoir_sample
+from posscore.postag import MODEL_MAGIC, load_tagged, remap_aux_to_verb, write_tagged
 
 
 def run(*argv):
@@ -152,6 +153,35 @@ class TestScore:
         assert rc == 0
         ids = {r[2] for r in read_csv(out)[1:]}
         assert ids == {"bleu1", "ext:external"}
+
+    def test_external_scores_without_a_run_set_exit_2(self, cli_workspace, tmp_path, capsys):
+        ext = tmp_path / "partial.csv"
+        lines = (cli_workspace / "external.csv").read_text().splitlines(keepends=True)
+        ext.write_text("".join(line for line in lines if not line.startswith("s3,")))
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--metrics", "bleu1",
+            "--external-scores", str(ext),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {ext}: no scores for set 's3'\n"
+
+    def test_external_set_with_one_slot_exits_2_outside_the_run(self, cli_workspace, tmp_path,
+                                                                  capsys):
+        # the lone row belongs to no set of the corpus; the file is refused anyway
+        ext = tmp_path / "lone.csv"
+        ext.write_text((cli_workspace / "external.csv").read_text() + "zzz,a,0.5\n")
+        rc = run(
+            "score",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--metrics", "bleu1",
+            "--external-scores", str(ext),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {ext}: row 14: set 'zzz' has no slot 'b' score\n"
 
     def test_duplicate_metric_rejected(self, cli_workspace, tmp_path, capsys):
         rc = run(
@@ -297,6 +327,38 @@ class TestEvaluate:
         assert reports["off"] == reports["left-out"] != reports["bare"]
         assert reports["on"] == reports["config"] == reports["bare"]
 
+    @pytest.mark.parametrize("one_set", ["sample", "corpus"])
+    def test_one_set_with_a_baseline_exits_2(self, cli_workspace, tmp_path, capsys, one_set):
+        corpus = cli_workspace / "corpus.jsonl"
+        sample = ["--sample", "1"] if one_set == "sample" else []
+        if one_set == "corpus":
+            corpus = tmp_path / "one.jsonl"
+            write_mini_corpus(corpus, n=1)
+        rc = run("evaluate", "--corpus", str(corpus), "--metrics", "bleu1,meteor", *sample,
+                 "--out", str(tmp_path / "report.csv"))
+        assert rc == 2
+        given = " with --sample 1" if sample else ""
+        assert capsys.readouterr().err == (
+            f"error: --corpus {corpus}{given} gives 1 evaluation set; "
+            "the paired t-test against baseline 'bleu1' needs at least 2\n"
+        )
+
+    def test_one_set_without_a_baseline_runs(self, cli_workspace, tmp_path):
+        # a POS-only run has no baseline, so no t-test and empty p columns
+        out = tmp_path / "report.csv"
+        rc = run(
+            "evaluate",
+            "--corpus", str(cli_workspace / "corpus.jsonl"),
+            "--tags", str(cli_workspace / "tags.tsv"),
+            "--embeddings", str(cli_workspace / "vectors.vec"),
+            "--metrics", "posscore",
+            "--sample", "1",
+            "--out", str(out),
+        )
+        assert rc == 0
+        [row] = read_csv(out)[1:]
+        assert row[0] == "posscore" and row[4] == "1" and row[5] == ""
+
     def test_byte_identical_rerun(self, cli_workspace, tmp_path):
         args = [
             "evaluate",
@@ -307,6 +369,88 @@ class TestEvaluate:
         assert run(*args, "--out", str(out1)) == 0
         assert run(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def garbled(n):
+    """An edit of a tags file that replaces every surface of its first n sentences."""
+    def edit(sentences):
+        return [TaggedSentence(tuple((Token("zzz"), tag) for _, tag in s)) if j < n else s
+                for j, s in enumerate(sentences)]
+    return edit
+
+
+class TestTagsAlignment:
+    """A tags file whose sentences mostly differ from their corpus texts is
+    refused: shifted by one sentence, it still has the right count.
+    """
+
+    ROT_ERROR = ("sentence 1 does not match the reference of set 's1'; "
+                 "18 of 18 sentences differ from --corpus")
+
+    def write_tags(self, cli_workspace, tmp_path, edit):
+        tags = tmp_path / "edited.tsv"
+        write_tagged(edit(load_tagged(cli_workspace / "tags.tsv")), tags)
+        return tags
+
+    def score(self, cli_workspace, tmp_path, tags, *extra):
+        return run("score", "--corpus", str(cli_workspace / "corpus.jsonl"), "--tags", str(tags),
+                   "--metrics", "bleu1", *extra, "--out", str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("shift", [1, -1, 3])
+    def test_rotated_file_exits_2(self, cli_workspace, tmp_path, capsys, shift):
+        tags = self.write_tags(cli_workspace, tmp_path, lambda s: s[shift:] + s[:shift])
+        assert self.score(cli_workspace, tmp_path, tags) == 2
+        assert capsys.readouterr().err == f"error: {tags}: {self.ROT_ERROR}\n"
+
+    def test_analyze_refuses_a_rotated_file(self, cli_workspace, tmp_path, capsys):
+        tags = self.write_tags(cli_workspace, tmp_path, lambda s: s[1:] + s[:1])
+        rc = run("analyze", "--corpus", str(cli_workspace / "corpus.jsonl"), "--tags", str(tags),
+                 "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tags}: {self.ROT_ERROR}\n"
+
+    def test_sampled_run_names_the_sentence_in_the_file(self, cli_workspace, tmp_path, capsys):
+        tags = self.write_tags(cli_workspace, tmp_path, lambda s: s[1:] + s[:1])
+        first = reservoir_sample(range(6), 3, 5)[0]
+        assert self.score(cli_workspace, tmp_path, tags, "--sample", "3", "--seed", "5") == 2
+        assert capsys.readouterr().err == (
+            f"error: {tags}: sentence {3 * first + 1} does not match the reference of set "
+            f"'s{first + 1}'; 9 of 9 sentences differ from --corpus\n"
+        )
+
+    def test_more_than_half_differing_exits_2(self, cli_workspace, tmp_path, capsys):
+        tags = self.write_tags(cli_workspace, tmp_path, garbled(10))
+        assert self.score(cli_workspace, tmp_path, tags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tags}: sentence 1 does not match the reference of set 's1'; "
+            "10 of 18 sentences differ from --corpus\n"
+        )
+
+    @pytest.mark.parametrize("edit", [
+        garbled(9),
+        garbled(1),
+        lambda s: [TaggedSentence(tuple((Token(t.surface.upper()), tag) for t, tag in x))
+                   for x in s],
+        lambda s: [TaggedSentence(tuple((Token(t.surface + " "), tag) for t, tag in x))
+                   for x in s],
+    ], ids=["half-differ", "one-sentence-altered", "upper-cased", "spaces-in-surfaces"])
+    def test_files_that_mostly_match_run(self, cli_workspace, tmp_path, edit):
+        tags = self.write_tags(cli_workspace, tmp_path, edit)
+        assert self.score(cli_workspace, tmp_path, tags) == 0
+
+    def test_one_altered_surface_is_scored_as_given(self, cli_workspace, tmp_path):
+        def edit(sentences):
+            # s1 candidate a, "A cat sat on a mat.", says "dog" for "cat"
+            a, (cat, tag), *rest = sentences[1].items
+            sentences[1] = TaggedSentence((a, (Token("dog"), tag), *rest))
+            return sentences
+        tags = self.write_tags(cli_workspace, tmp_path, edit)
+        plain, edited = tmp_path / "plain.csv", tmp_path / "edited.csv"
+        base = ["score", "--corpus", str(cli_workspace / "corpus.jsonl"), "--metrics", "bleu1"]
+        assert run(*base, "--tags", str(cli_workspace / "tags.tsv"), "--out", str(plain)) == 0
+        assert run(*base, "--tags", str(tags), "--out", str(edited)) == 0
+        changed = [a[:2] for a, b in zip(read_csv(plain), read_csv(edited)) if a != b]
+        assert changed == [["s1", "a"]]
 
 
 class TestCorrelate:

@@ -3,7 +3,9 @@ file (and its line) or the flag at fault; no input makes a command exit 1.
 
 `test_mutated_inputs_exit_0_or_2` is a seeded mutation test. Each case
 damages the bytes of one input of the fixture workspace and runs the
-command that reads it in process.
+command that reads it in process. Byte edits almost never leave a tags file
+with the right sentence count but misaligned, so
+`test_sentence_edits_of_tags_exit_0_or_2` moves whole sentences instead.
 """
 
 import gzip
@@ -134,6 +136,41 @@ def test_mutated_inputs_exit_0_or_2(kind, workspace, tmp_path, capsys):
         assert rc in (0, 2), where
         if rc == 2:
             assert str(path) in err or re.search(r"--[a-z]", err), where
+
+
+def move_sentences(data: bytes, rng: random.Random) -> tuple[str, bytes]:
+    """One random rotation, swap or reversal of whole sentences of a tags file,
+    and its description.
+    """
+    sentences = data.rstrip(b"\n").split(b"\n\n")
+    op = rng.choice(["rotate", "swap", "reverse"])
+    i, j = sorted(rng.sample(range(len(sentences)), 2))
+    if op == "rotate":
+        sentences = sentences[j:] + sentences[:j]
+        edit = f"{op} {j}"
+    elif op == "swap":
+        sentences[i], sentences[j] = sentences[j], sentences[i]
+        edit = f"{op} {i} {j}"
+    else:
+        sentences[i : j + 1] = sentences[i : j + 1][::-1]
+        edit = f"{op} {i}..{j}"
+    return edit, b"\n\n".join(sentences) + b"\n"
+
+
+def test_sentence_edits_of_tags_exit_0_or_2(workspace, tmp_path, capsys):
+    # seeded after the last byte-level kind, so that theirs stay as they are
+    original = (workspace / "tags.tsv").read_bytes()
+    seed = len(KINDS)
+    for case in range(CASES_PER_KIND):
+        rng = random.Random(f"{seed}:{case}")
+        edit, data = move_sentences(original, rng)
+        rc, err, path = run_case("tags", workspace, data, tmp_path, capsys)
+        where = f"sentence case {case} ({edit}): exit {rc}: {err!r}"
+        assert rc in (0, 2), where
+        if rc == 2:
+            assert err.startswith(f"error: {path}: sentence "), where
+        if edit.startswith("rotate"):
+            assert rc == 2, where
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from posscore.ingest import (
     ForumAnswer,
     build_forum_sets,
     build_usr_sets,
+    load_external_scores,
     load_forum_json,
     load_jsonl,
     load_usr_json,
@@ -149,6 +151,48 @@ class TestLoadJsonl:
 
 def resp(text, *scores, is_reference=False):
     return AnnotatedResponse(text, tuple(float(s) for s in scores), is_reference)
+
+
+class TestLoadExternalScores:
+    def write(self, tmp_path, body):
+        p = tmp_path / "ext.csv"
+        p.write_text("set_id,slot,score\n" + body)
+        return p
+
+    def test_roundtrip(self, tmp_path):
+        p = self.write(tmp_path, "s1,a,0.5\ns1,b,0.25\ns2,b,0.75\ns2,a,1.0\n")
+        assert load_external_scores(p) == {"s1": (0.5, 0.25), "s2": (1.0, 0.75)}
+
+    def test_duplicate_rejected(self, tmp_path):
+        p = self.write(tmp_path, "s1,a,0.5\ns1,a,0.6\n")
+        with pytest.raises(ValueError, match=r"row 3: duplicate entry for \('s1', 'a'\)"):
+            load_external_scores(p)
+
+    def test_bad_slot(self, tmp_path):
+        p = self.write(tmp_path, "s1,c,0.5\n")
+        with pytest.raises(ValueError, match="row 2: slot must be 'a' or 'b', got 'c'"):
+            load_external_scores(p)
+
+    @pytest.mark.parametrize("raw", ["abc", "", "nan", "-inf", "1e999"])
+    def test_score_that_is_not_a_finite_number(self, tmp_path, raw):
+        p = self.write(tmp_path, f"s1,a,{raw}\ns1,b,0.5\n")
+        with pytest.raises(ValueError, match=f"row 2: score: expected a finite number, got '{raw}'"):
+            load_external_scores(p)
+
+    def test_bad_header(self, tmp_path):
+        p = tmp_path / "ext.csv"
+        p.write_text("id,slot,value\ns1,a,0.5\n")
+        with pytest.raises(ValueError, match="header"):
+            load_external_scores(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("s1,a,0.5\n", "row 2: set 's1' has no slot 'b' score"),
+        ("s1,a,0.5\ns2,b,1\ns1,b,2\n", "row 3: set 's2' has no slot 'a' score"),
+    ], ids=["only-set", "set-between-whole-pairs"])
+    def test_set_with_one_slot_refused_at_read(self, tmp_path, body, message):
+        p = self.write(tmp_path, body)
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {message}"):
+            load_external_scores(p)
 
 
 class TestBuildUsrSets:
