@@ -179,7 +179,7 @@ def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
         sentences = load_tagged(args.tags)
         if len(sentences) != 3 * len(corpus):
             raise ValueError(
-                f"--tags: expected {3 * len(corpus)} sentences "
+                f"{args.tags}: expected {3 * len(corpus)} sentences "
                 f"(3 per evaluation set), found {len(sentences)}"
             )
         sentences = [sentences[3 * i + k] for i in picked for k in range(3)]
@@ -368,7 +368,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     if args.train is not None:
         corpus = load_tagged(args.train)
         if not corpus:
-            raise ValueError("--train: empty training corpus")
+            raise ValueError(f"{args.train}: empty training corpus")
         model = train(corpus, epochs=args.epochs, seed=args.seed)
         save_model(model, args.out)
         return 0

@@ -188,6 +188,26 @@ class TestMeteor:
             assert s.value == 1 - 0.5 / n**3, n
             assert s.details["chunks"] == 1.0 and s.details["exact_alignment"] == 1.0, n
 
+    def test_search_past_its_node_budget_keeps_a_maximum_matching(self, monkeypatch):
+        # with no node budget, the branch and bound stops at its first node
+        # and returns the better of its two seeds, uncertified; on the first
+        # pair its seeds take 3 chunks where 2 suffice
+        pairs = [("a c c c", "c c a c"), ("a b a c a b", "a b b a"), ("b c c a", "b c a a b c")]
+        optima = [meteor(toks(ref), toks(cand)) for ref, cand in pairs]
+        monkeypatch.setattr("posscore.basemetrics._ALIGN_NODE_BUDGET", 0)
+        chunks = []
+        for (ref, cand), optimum in zip(pairs, optima):
+            got = meteor(toks(ref), toks(cand))
+            assert got.details["exact_alignment"] == 0.0, (ref, cand)
+            assert optimum.details["exact_alignment"] == 1.0
+            assert optimum.value == pytest.approx(brute_meteor(ref.split(), cand.split(),
+                                                               porter_stem), abs=1e-12)
+            overlap = sum(min(ref.split().count(w), cand.split().count(w)) for w in set(ref.split()))
+            assert got.details["matches"] == overlap == optimum.details["matches"]
+            assert got.details["chunks"] >= optimum.details["chunks"]
+            chunks.append((got.details["chunks"], optimum.details["chunks"]))
+        assert chunks[0] == (3.0, 2.0)
+
     def test_matching_equals_recursive_kuhn(self):
         def kuhn(adj, n_ref):
             match_of_ref = [-1] * n_ref

@@ -418,6 +418,13 @@ class TestTagsAlignment:
             f"'s{first + 1}'; 9 of 9 sentences differ from --corpus\n"
         )
 
+    def test_a_missing_sentence_names_the_file(self, cli_workspace, tmp_path, capsys):
+        tags = self.write_tags(cli_workspace, tmp_path, lambda s: s[:-1])
+        assert self.score(cli_workspace, tmp_path, tags) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tags}: expected 18 sentences (3 per evaluation set), found 17\n"
+        )
+
     def test_more_than_half_differing_exits_2(self, cli_workspace, tmp_path, capsys):
         tags = self.write_tags(cli_workspace, tmp_path, garbled(10))
         assert self.score(cli_workspace, tmp_path, tags) == 2
@@ -633,6 +640,14 @@ class TestTag:
         assert run(*args, "--out", str(m2)) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_empty_training_file_names_the_file(self, tmp_path, capsys):
+        train_file = tmp_path / "empty.tsv"
+        train_file.write_text("\n")
+        out = tmp_path / "model.tsv"
+        assert run("tag", "--train", str(train_file), "--out", str(out)) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {train_file}: empty training corpus\n"
+
     def test_train_and_corpus_conflict(self, cli_workspace, tmp_path, capsys):
         rc = run(
             "tag",
@@ -795,6 +810,14 @@ class TestConvert:
                 {"text": 7, "votes": 7},
                 {"text": "a2", "votes": 5},
             ]}], "item 0: answers[1]: 'text' must be a string, got 7"),
+            ("usr", [{"reference": "r", "responses": {"text": "a"}}],
+             "item 0: 'responses' must be a list"),
+            ("forum", [{"question": "q", "answers": "a"}], "item 0: 'answers' must be a list"),
+            # two responses, but tied: no pair to make a set of
+            ("usr", [{"reference": "r", "responses": [
+                {"text": "a", "quality": [3]},
+                {"text": "b", "quality": [3]},
+            ]}], "no evaluation sets"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, fmt, data, place):
@@ -1375,7 +1398,7 @@ class TestEmbeddingLoad:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
-        assert "--tags" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {tags}: expected 6 sentences")
 
 
 class TestBadCorpus:

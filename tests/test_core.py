@@ -46,6 +46,10 @@ class TestTagSet:
         with pytest.raises(ValueError):
             TagSet.parse("")
 
+    def test_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="tag set must not be empty"):
+            TagSet("none", frozenset())
+
     def test_membership(self):
         ts = TagSet.parse("adj+noun")
         assert PosTag.ADJ in ts and PosTag.NOUN in ts

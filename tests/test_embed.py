@@ -2,6 +2,7 @@ import gzip
 import math
 import os
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -99,6 +100,16 @@ class TestLoadVec:
         p = tmp_path / "t.vec"
         p.write_text("nonsense\na 1.0\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_vec(p)
+
+    @pytest.mark.parametrize("header, problem", [
+        ("1 x", "non-integer dimension 'x'"),
+        ("1 0", "dimension must be >= 1"),
+    ])
+    def test_bad_header_dimension(self, tmp_path, header, problem):
+        p = tmp_path / "t.vec"
+        p.write_text(f"{header}\na 1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: {problem}$"):
             load_vec(p)
 
     def test_squared_norm_past_float_range_names_line(self, tmp_path):
@@ -377,6 +388,11 @@ class TestFromDict:
     def test_inconsistent_lengths(self):
         with pytest.raises(ValueError, match=r"inconsistent vector lengths: \[2, 3\]"):
             EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": [1.0, 2.0, 3.0]})
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 0), (3,)], ids=["rows", "dim-0", "1-d"])
+    def test_constructor_refuses_a_matrix_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"need 1 rows of dim >= 1"):
+            EmbeddingTable({"a": 0}, np.zeros(shape))
 
     def test_empty_dict(self):
         table = EmbeddingTable.from_dict({})

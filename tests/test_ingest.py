@@ -163,6 +163,13 @@ class TestLoadExternalScores:
         p = self.write(tmp_path, "s1,a,0.5\ns1,b,0.25\ns2,b,0.75\ns2,a,1.0\n")
         assert load_external_scores(p) == {"s1": (0.5, 0.25), "s2": (1.0, 0.75)}
 
+    def test_blank_rows_are_skipped_but_counted(self, tmp_path):
+        p = self.write(tmp_path, "s1,a,0.5\n\ns1,b,0.25\n\ns1,b,0.75\n")
+        with pytest.raises(ValueError, match=r"row 6: duplicate entry for \('s1', 'b'\)"):
+            load_external_scores(p)
+        assert load_external_scores(self.write(tmp_path, "s1,a,0.5\n\ns1,b,0.25\n")) == {
+            "s1": (0.5, 0.25)}
+
     def test_duplicate_rejected(self, tmp_path):
         p = self.write(tmp_path, "s1,a,0.5\ns1,a,0.6\n")
         with pytest.raises(ValueError, match=r"row 3: duplicate entry for \('s1', 'a'\)"):

@@ -125,6 +125,17 @@ class TestTag:
             out = tag(model, list(sent.tokens))
             assert len(out) == len(sent)
 
+    def test_digit_feature(self):
+        # only the "digit" feature carries weight: all-digit tokens get NUM,
+        # and every other token the first tag
+        model = TaggerModel(
+            feature_weights={"digit": {TAGS.index(PosTag.NUM): 1.0}},
+            tag_prior={},
+            iterations_trained=1,
+        )
+        out = tag(model, tokenize("42 cats in 1999 , 3rd"))
+        assert out.tags == (PosTag.NUM, TAGS[0], TAGS[0], PosTag.NUM, TAGS[0], TAGS[0])
+
     def test_tie_break_is_stable(self):
         # an untrained model scores every tag 0; the first tag in the
         # alphabet must win
