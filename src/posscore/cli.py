@@ -222,9 +222,9 @@ def _subsample(args: argparse.Namespace, items: Iterable) -> list:
 
 
 def _run_scoring(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
-    """The sampled corpus, and the score table: metric id -> (tag set name,
-    set id -> (score a, score b)), in id order. Ids without a tag set are
-    the base metrics and the external scores.
+    """The sampled corpus and the score table: metric id -> (tag set name,
+    set id -> (score a, score b)), both in id order. Ids without a tag set
+    are the base metrics and the external scores.
     """
     corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
@@ -259,7 +259,7 @@ def _run_scoring(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
             if ev.id not in ext:
                 raise ValueError(f"{args.external_scores}: no scores for set {ev.id!r}")
         columns[f"ext:{args.external_scores.stem}"] = ("", ext)
-    return corpus, dict(sorted(columns.items()))
+    return sorted(corpus, key=lambda e: e.id), dict(sorted(columns.items()))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -277,7 +277,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     corpus, table = _run_scoring(args)
     rows = [
         [ev.id, slot, mid, tagset, repr(scores[ev.id][k])]
-        for ev in sorted(corpus, key=lambda e: e.id)
+        for ev in corpus
         for k, slot in enumerate(("a", "b"))
         for mid, (tagset, scores) in table.items()
     ]
@@ -316,9 +316,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     corpus, table = _run_scoring(args)
-    order = sorted(corpus, key=lambda e: e.id)
     ids = list(table)
-    vectors = {mid: [s for ev in order for s in scores[ev.id]]
+    vectors = {mid: [s for ev in corpus for s in scores[ev.id]]
                for mid, (_, scores) in table.items()}
     taus: dict[tuple[str, str], str] = {}
     for i, mid in enumerate(ids):  # tau-b is exactly symmetric: compute each pair once

@@ -63,9 +63,8 @@ ADOPTED_TAGS = frozenset(TAG_DISPLAY_ORDER)
 
 @dataclass(frozen=True)
 class TagSet:
-    """A named subset of the adopted POS tags that parameterizes the POS metrics."""
+    """A subset of the adopted POS tags that parameterizes the POS metrics."""
 
-    name: str
     members: frozenset[PosTag]
 
     def __post_init__(self) -> None:
@@ -79,23 +78,21 @@ class TagSet:
     def __contains__(self, tag: PosTag) -> bool:
         return tag in self.members
 
-    @staticmethod
-    def canonical_name(members: Iterable[PosTag]) -> str:
-        ordered = [t for t in TAG_DISPLAY_ORDER if t in set(members)]
-        return "+".join(t.value.lower() for t in ordered)
+    @property
+    def name(self) -> str:
+        """The members in display order, joined by '+', e.g. ``adj+verb``."""
+        return "+".join(t.value.lower() for t in TAG_DISPLAY_ORDER if t in self.members)
 
     @classmethod
     def parse(cls, spec: str) -> "TagSet":
         """Parse a '+'-separated tag list, e.g. ``adj+verb+propn+noun``.
 
-        Names are case-insensitive and the result carries the canonical name
-        regardless of the order given.
+        Names are case-insensitive, and the order given does not matter.
         """
         parts = [p.strip() for p in spec.split("+") if p.strip()]
         if not parts:
             raise ValueError("empty tag set string")
-        members = frozenset(PosTag.parse(p.upper()) for p in parts)
-        return cls(cls.canonical_name(members), members)
+        return cls(frozenset(PosTag.parse(p.upper()) for p in parts))
 
 
 #: The tag-set grid used by the experiments, keyed by canonical name.

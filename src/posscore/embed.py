@@ -21,20 +21,20 @@ from .core import Token, open_text
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Immutable norm-token → vector map: norm's vector is row index[norm] of
-    one read-only (V, dim) matrix, float64 values with scale None, or int32
-    codes with a power-of-ten scale, each value being code / scale (see
+    one read-only (V, dim) matrix divided by scale; the matrix holds float64
+    values with scale 1.0, or int32 codes with a power-of-ten scale (see
     `_store`). OOV tokens are skipped on lookup."""
 
     index: Mapping[str, int]
     matrix: np.ndarray
-    scale: float | None = None
+    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2 or len(self.matrix) != len(self.index) or not self.dim:
             raise ValueError(f"need {len(self.index)} rows of dim >= 1, got {self.matrix.shape}")
         dtype, scale = self.matrix.dtype, self.scale
-        if not (dtype == np.float64 and scale is None or dtype == np.int32 and scale in _SCALES):
-            raise ValueError(f"need a float64 matrix with scale None or an int32 one with scale "
+        if not (dtype == np.float64 and scale == 1.0 or dtype == np.int32 and scale in _SCALES):
+            raise ValueError(f"need a float64 matrix with scale 1.0 or an int32 one with scale "
                              f"10**d, d in 0..9; got {dtype} with scale {scale!r}")
         self.matrix.setflags(write=False)
 
@@ -49,13 +49,11 @@ class EmbeddingTable:
         return len(self.index)
 
     def get(self, norm: str) -> np.ndarray | None:
-        """The read-only float64 row of norm, a view of a float64 matrix or a
-        copy decoded from an int32 one; None when it is out of vocabulary."""
+        """A read-only float64 copy of norm's decoded row; None when it is out
+        of vocabulary."""
         row = self.index.get(norm)
         if row is None:
             return None
-        if self.scale is None:
-            return self.matrix[row]
         values = self.matrix[row] / self.scale
         values.setflags(write=False)
         return values
@@ -63,11 +61,14 @@ class EmbeddingTable:
     @classmethod
     def from_dict(cls, vectors: Mapping[str, Iterable[float]]) -> "EmbeddingTable":
         """Build a small table from plain python data; used by tests and demos.
-        Each row must be a non-empty flat list of numbers, and is checked as
-        `load_vec` checks its rows.
+        Each key must be casefolded, as the norms that look it up are, and
+        each row a non-empty flat list of numbers, checked as `load_vec`
+        checks its rows.
         """
         rows = []
         for word, values in vectors.items():
+            if word != word.casefold():
+                raise ValueError(f"{word!r} is not casefolded, so no token could look it up")
             try:
                 row = np.asarray(values, dtype=np.float64)
             except (TypeError, ValueError):
@@ -133,8 +134,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             raise ValueError(f"{path}: line 1: non-integer dimension {parts[1]!r}") from None
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
-        matrix = np.empty((1024 if vocab_filter is None else len(vocab_filter), dim), np.int32)
-        scale = None  # picked by the first block
+        matrix = np.empty((0, dim), np.int32)
+        capacity = 1024 if vocab_filter is None else len(vocab_filter)
+        scale = 1.0  # picked by the first block
         for lineno, line in enumerate(text, start=2):
             if line.isspace():
                 continue
@@ -150,7 +152,9 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
             if (vocab_filter is not None and token not in vocab_filter) or token in index:
                 continue
             row = len(index)
-            if row == len(matrix):  # only without vocab_filter; no view of matrix is alive
+            if not row:  # allocated only once a row has passed its value-count check
+                matrix = np.empty((capacity, dim), np.int32)
+            elif row == len(matrix):  # only without vocab_filter; no view of matrix is alive
                 matrix.resize((2 * row, dim), refcheck=False)
             index[token] = row
             values = line[cut + 1 : len(line) - padded - line.endswith("\n")]
@@ -208,8 +212,8 @@ _SCALES = tuple(float(10**d) for d in range(10))
 
 
 def _store(
-    matrix: np.ndarray, scale: float | None, stop: int, rows: np.ndarray
-) -> tuple[np.ndarray, float | None]:
+    matrix: np.ndarray, scale: float, stop: int, rows: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Store the parsed rows in the rows of matrix that end at stop; return
     the matrix and its scale, both of which may change.
 
@@ -218,8 +222,8 @@ def _store(
     v back exactly; a -0.0 comes back as 0.0, which no sum from +0.0 can
     tell apart. The first block (it ends at stop == len(rows)) picks the
     smallest scale in _SCALES that holds all its values. When none does, or a
-    later block does not fit the scale, the matrix turns float64, the rows
-    stored so far decoded exactly, and stays so.
+    later block does not fit the scale, the matrix turns float64 with scale
+    1.0, the rows stored so far decoded exactly, and stays so.
     """
     start = stop - len(rows)
     if matrix.dtype == np.int32:
@@ -230,7 +234,7 @@ def _store(
                 return matrix, s
         matrix = matrix / scale if start else np.empty(matrix.shape)
     matrix[start:stop] = rows
-    return matrix, None
+    return matrix, 1.0
 
 
 def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> SentenceVector:
@@ -250,9 +254,7 @@ def average_embedding(tokens: Iterable[Token], table: EmbeddingTable) -> Sentenc
     if not counts:
         return SentenceVector(values=np.zeros(table.dim, dtype=np.float64), support=0)
     total = sum(counts.values())
-    rows = table.matrix.take(list(counts), axis=0)
-    if table.scale is not None:
-        rows = rows / table.scale  # the float64 values the loader parsed, -0.0 as 0.0
+    rows = table.matrix.take(list(counts), axis=0) / table.scale  # the values as parsed
     if total > len(counts):  # some word repeats
         rows *= np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[:, None]
     acc = np.add.reduce(rows, axis=0, initial=0.0)
@@ -269,8 +271,6 @@ def cosine(u: SentenceVector, v: SentenceVector) -> float:
     """
     if u.values.shape != v.values.shape:
         raise ValueError(f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}")
-    if u.support == 0 or v.support == 0:
-        return 0.0
     nu = math.sqrt(u.values @ u.values)  # as np.linalg.norm computes it
     nv = math.sqrt(v.values @ v.values)
     if nu < 1e-12 or nv < 1e-12:

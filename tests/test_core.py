@@ -48,7 +48,13 @@ class TestTagSet:
 
     def test_rejects_an_empty_set(self):
         with pytest.raises(ValueError, match="tag set must not be empty"):
-            TagSet("none", frozenset())
+            TagSet(frozenset())
+
+    def test_name_is_its_members_in_display_order(self):
+        # no name is stored, so none can disagree with the members scored
+        ts = TagSet(frozenset({PosTag.NOUN, PosTag.ADJ, PosTag.PROPN}))
+        assert ts.name == "adj+propn+noun"
+        assert ts == TagSet.parse("noun+adj+propn") and hash(ts) == hash(TagSet.parse(ts.name))
 
     def test_membership(self):
         ts = TagSet.parse("adj+noun")

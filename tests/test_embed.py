@@ -112,6 +112,25 @@ class TestLoadVec:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: {problem}$"):
             load_vec(p)
 
+    @pytest.mark.parametrize("vocab", [None, {"a", "b"}], ids=["unfiltered", "filtered"])
+    def test_a_huge_header_dimension_is_refused_at_its_first_row(self, tmp_path, vocab):
+        # rows of the header's dimension once were allocated before any row
+        # was read: hundreds of GiB here, and an internal error
+        p = tmp_path / "t.vec"
+        p.write_text("1 100000000000\na 1\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(p))}: line 2: expected 100000000000 values, got 1$"
+        ):
+            load_vec(p, vocab)
+
+    @pytest.mark.parametrize("vocab", [None, {"a", "b"}], ids=["unfiltered", "filtered"])
+    def test_a_header_alone_loads_an_empty_table(self, tmp_path, vocab):
+        p = tmp_path / "t.vec"
+        p.write_text("0 100000000000\n")
+        table = load_vec(p, vocab)
+        assert table.index == {} and table.matrix.shape == (0, 100000000000)
+        assert table.get("a") is None
+
     def test_squared_norm_past_float_range_names_line(self, tmp_path):
         # every value is finite, but cosine could not square them
         p = tmp_path / "t.vec"
@@ -120,18 +139,17 @@ class TestLoadVec:
             load_vec(p)
         assert load_vec(p, vocab_filter={"a"}).get("a")[0] == 1e154
 
-    def test_rows_are_read_only_views_of_one_matrix(self, tmp_path):
-        # a float64 table hands out views of its matrix; an int32 one, read
-        # from decimals, read-only float64 copies of the decoded rows
+    def test_rows_are_read_only_decoded_copies(self, tmp_path):
+        # a float64 table (scale 1.0) and an int32 one read from decimals
+        # both hand out read-only float64 copies of the decoded rows
         p = tmp_path / "t.vec"
-        for c, scale in [("0.1 1e-20", None), ("0.5 0.5", 10.0)]:
+        for c, scale in [("0.1 1e-20", 1.0), ("0.5 0.5", 10.0)]:
             p.write_text(f"3 2\na 1.0 0.0\nb 0.0 1.0\nc {c}\n")
             table = load_vec(p, vocab_filter={"c", "a", "z"})
             assert table.matrix.shape == (2, 2) and table.index == {"a": 0, "c": 1}
             assert table.scale == scale
             row = table.get("c")
             assert row.dtype == np.float64 and not row.flags.writeable
-            assert np.shares_memory(row, table.matrix) == (scale is None)
             assert row.tobytes() == float_rows(table)[1].tobytes()
             np.testing.assert_array_equal(row, [float(x) for x in c.split()])
             with pytest.raises(ValueError):
@@ -179,8 +197,8 @@ class TestLoadVec:
 
 
 def float_rows(table):
-    """The table's rows as float64 values: an int32 matrix divided by its scale."""
-    return table.matrix if table.scale is None else table.matrix / table.scale
+    """The table's rows as float64 values: its matrix divided by its scale."""
+    return table.matrix / table.scale
 
 
 def load_both(path, vocab_filter=None):
@@ -281,7 +299,8 @@ class TestLoadVecMatchesRowwiseOracle:
         assert new == old == f"{p}: line 2: could not convert string to float: '1\\x1c'"
 
 
-#: Storage cases: name -> the scale the table should get (None: float64).
+#: Storage cases: name -> the scale of the int32 table the file should
+#: give, or None for a float64 table (whose scale is 1.0).
 #: Each file has 200 rows of 4-decimal values in (-2, 2) unless its name
 #: says otherwise; row 180 is in the third block of kept rows unfiltered and
 #: in the second filtered.
@@ -333,7 +352,7 @@ class TestStoragePaths:
         table = load_vec(p, vocab)
         index, matrix = rowwise_load_vec(p, vocab)
         scale = STORAGE_CASES[case]
-        assert table.index == index and table.scale == scale
+        assert table.index == index and table.scale == (1.0 if scale is None else scale)
         assert table.matrix.dtype == (np.float64 if scale is None else np.int32)
         assert table.matrix.nbytes == (8 if scale is None else 4) * len(index) * dim
         assert (float_rows(table) + 0.0).tobytes() == (matrix + 0.0).tobytes()
@@ -356,10 +375,10 @@ class TestStoragePaths:
     @pytest.mark.parametrize(
         "dtype, scale",
         [(np.int32, None), (np.float64, 10.0), (np.int32, 3.0), (np.int32, 1e10),
-         (np.int64, 10.0), (np.float32, None)],
+         (np.int64, 10.0), (np.float32, 1.0), (np.float64, None)],
     )
     def test_a_matrix_and_scale_that_do_not_pair_are_refused(self, dtype, scale):
-        with pytest.raises(ValueError, match="float64 matrix with scale None or an int32 one"):
+        with pytest.raises(ValueError, match="float64 matrix with scale 1.0 or an int32 one"):
             EmbeddingTable({"a": 0}, np.ones((1, 2), dtype), scale)
 
 
@@ -384,6 +403,15 @@ class TestFromDict:
         # message that named no word
         with pytest.raises(ValueError, match="not a non-empty flat list of numbers in 'cat'"):
             EmbeddingTable.from_dict({"dog": [0.0, 1.0], "cat": row})
+
+    @pytest.mark.parametrize("word", ["Paris", "STRASSE", "straße"])
+    def test_rejects_a_key_that_no_lookup_reaches(self, word):
+        # lookups go by Token.norm, which is casefolded: such a key once
+        # made its word silently out of vocabulary
+        with pytest.raises(ValueError, match=f"^{word!r} is not casefolded"):
+            EmbeddingTable.from_dict({"dog": [0.0, 1.0], word: [1.0, 0.0]})
+        table = EmbeddingTable.from_dict({word.casefold(): [1.0, 0.0]})
+        assert average_embedding(toks(word), table).support == 1
 
     def test_inconsistent_lengths(self):
         with pytest.raises(ValueError, match=r"inconsistent vector lengths: \[2, 3\]"):

@@ -187,6 +187,13 @@ def test_a_damaged_vec_gz_names_the_file(damage, why, workspace, tmp_path, capsy
     assert rc == 2 and err.startswith(f"error: {path}: not a valid gzip file ({why}")
 
 
+def test_a_huge_vec_dimension_names_the_first_row(workspace, tmp_path, capsys):
+    # rows of the header's dimension were once allocated before the first
+    # row was read, which ended in an internal error (exit 1)
+    rc, err, path = run_case("vec", workspace, b"1 100000000000\ncat 1\n", tmp_path, capsys)
+    assert rc == 2 and err == f"error: {path}: line 2: expected 100000000000 values, got 1\n"
+
+
 @pytest.mark.parametrize("value", ["", "."])
 def test_a_directory_given_as_an_input_names_the_flag(value, tmp_path, capsys):
     # an empty value reads as ".", the working directory

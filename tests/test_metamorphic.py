@@ -1,13 +1,19 @@
 """Metamorphic relations of the CLI: two runs whose inputs mean the same
 thing must write the same bytes. No expected values are needed.
 
-A seeded workspace of a few hundred sets is rewritten by one relation at a
-time, and `score`, `evaluate` and `correlate` run on the rewritten inputs
-must reproduce the outputs of the unchanged run:
+Two seeded workspaces of a few hundred sets are rewritten by one relation
+at a time, and `score`, `evaluate` and `correlate` run on the rewritten
+inputs must reproduce the outputs of the unchanged run:
 - corpus lines permuted, with the tags file permuted alike;
-- `.vec` rows shuffled;
+- candidates a and b swapped, with their human scores and tags sentences
+  (`score` swaps its slot column);
+- set ids renamed through an order-preserving map (`score` renames its id
+  column);
+- `.vec` rows shuffled, or rows that no token uses appended;
 - the `--metrics` list reversed;
-- tied lines, which the loader skips, inserted into the corpus.
+- tied lines, which the loader skips, inserted into the corpus;
+- `--sample N` with N the number of sets;
+- the flags given through `--config` instead.
 
 A second check runs every command that writes a file under two hash seeds,
 in subprocesses, and compares the bytes.
@@ -109,64 +115,157 @@ def _write_tag_blocks(path: Path, blocks: list[str]) -> None:
     path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
-def permute_lines(src: Path, dst: Path, rng: random.Random) -> None:
-    lines = (src / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    blocks = _tag_blocks(src / "tags.tsv")
+def _corpus_lines(root: Path) -> list[str]:
+    return (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _rewrite_sets(root: Path, edit) -> None:
+    """Apply edit to the JSON object of every corpus line."""
+    objs = [json.loads(line) for line in _corpus_lines(root)]
+    for obj in objs:
+        edit(obj)
+    (root / "corpus.jsonl").write_text("".join(json.dumps(o) + "\n" for o in objs),
+                                       encoding="utf-8")
+
+
+# Each relation rewrites the copied workspace at root and returns the argv
+# of the equivalent run, given that of the unchanged one.
+
+
+def permute_lines(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    lines, blocks = _corpus_lines(root), _tag_blocks(root / "tags.tsv")
     order = list(range(len(lines)))
     rng.shuffle(order)
-    (dst / "corpus.jsonl").write_text("".join(lines[i] for i in order), encoding="utf-8")
-    _write_tag_blocks(dst / "tags.tsv", [b for i in order for b in blocks[3 * i:3 * i + 3]])
+    (root / "corpus.jsonl").write_text("".join(lines[i] for i in order), encoding="utf-8")
+    _write_tag_blocks(root / "tags.tsv", [b for i in order for b in blocks[3 * i:3 * i + 3]])
+    return argv
 
 
-def shuffle_vec_rows(src: Path, dst: Path, rng: random.Random) -> None:
-    header, *rows = (src / "vectors.vec").read_text(encoding="utf-8").splitlines(keepends=True)
+def swap_candidates(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    # each candidate keeps its human score, and its tags sentence moves with it
+    _rewrite_sets(root, lambda obj: obj["candidates"].reverse())
+    blocks = _tag_blocks(root / "tags.tsv")
+    blocks[1::3], blocks[2::3] = blocks[2::3], blocks[1::3]
+    _write_tag_blocks(root / "tags.tsv", blocks)
+    return argv
+
+
+def rename(set_id: str) -> str:
+    """An order-preserving map of the workspace's set ids (s0000 to s0499)."""
+    return f"run-{3 * int(set_id[1:]) + 10:05d}"
+
+
+def rename_ids(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    _rewrite_sets(root, lambda obj: obj.update(id=rename(obj["id"])))
+    return argv
+
+
+def shuffle_vec_rows(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    header, *rows = (root / "vectors.vec").read_text(encoding="utf-8").splitlines(keepends=True)
     rng.shuffle(rows)
-    (dst / "vectors.vec").write_text(header + "".join(rows), encoding="utf-8")
+    (root / "vectors.vec").write_text(header + "".join(rows), encoding="utf-8")
+    return argv
 
 
-def insert_tied_lines(src: Path, dst: Path, rng: random.Random) -> None:
+def add_unused_vec_rows(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    # no made-up word starts with a vowel, so no token of the corpus is `unused<k>`
+    rows = (root / "vectors.vec").read_text(encoding="utf-8").splitlines()[1:]
+    rows += [f"unused{k}" + "".join(f" {rng.uniform(-1, 1):.6f}" for _ in range(8))
+             for k in range(50)]
+    (root / "vectors.vec").write_text(f"{len(rows)} 8\n" + "\n".join(rows) + "\n",
+                                      encoding="utf-8")
+    return argv
+
+
+def insert_tied_lines(root: Path, argv: list[str], rng: random.Random) -> list[str]:
     # the loader skips a set whose candidates share a human score, and a tags
     # file covers only the sets it keeps, so tags.tsv stays as it is
-    lines = (src / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = _corpus_lines(root)
     for k in range(20):
         obj = json.loads(lines[rng.randrange(len(lines))])
         obj["id"] = f"tied{k}"
         for cand in obj["candidates"]:
             cand["human"] = 3.0
         lines.insert(rng.randrange(len(lines) + 1), json.dumps(obj) + "\n")
-    (dst / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    (root / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    return argv
 
 
-def reverse_metrics(src: Path, dst: Path, rng: random.Random) -> None:
-    """Nothing to rewrite: the run gets the --metrics list reversed."""
+def reverse_metrics(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    i = argv.index("--metrics") + 1
+    return [*argv[:i], ",".join(argv[i].split(",")[::-1]), *argv[i + 1:]]
+
+
+def sample_every_set(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    return [*argv, "--sample", str(SETS), "--seed", "7"]
+
+
+def flags_from_config(root: Path, argv: list[str], rng: random.Random) -> list[str]:
+    command, *flags = argv
+    (root / "run.cfg").write_text(
+        "".join(f"{flag[2:]}={value}\n" for flag, value in zip(flags[::2], flags[1::2])),
+        encoding="utf-8")
+    return [command, "--config", str(root / "run.cfg")]
 
 
 RELATIONS = {
     "permuted-lines": permute_lines,
+    "swapped-candidates": swap_candidates,
+    "renamed-ids": rename_ids,
     "shuffled-vec-rows": shuffle_vec_rows,
+    "unused-vec-rows": add_unused_vec_rows,
     "reversed-metrics": reverse_metrics,
     "tied-lines": insert_tied_lines,
+    "sample-of-every-set": sample_every_set,
+    "config-file": flags_from_config,
 }
 
 
-def run(root: Path, command: str, metrics: list[str], out: Path) -> bytes:
-    assert main([command, "--corpus", str(root / "corpus.jsonl"),
-                 "--tags", str(root / "tags.tsv"), "--embeddings", str(root / "vectors.vec"),
-                 "--metrics", ",".join(metrics), "--out", str(out)]) == 0
+def swap_slots(rows: list[list[str]]) -> list[list[str]]:
+    # score writes rows by set id, then slot, then metric id
+    for row in rows:
+        row[1] = {"a": "b", "b": "a"}[row[1]]
+    return sorted(rows, key=lambda row: row[:2])  # stable: keeps each slot's metric order
+
+
+def rename_rows(rows: list[list[str]]) -> list[list[str]]:
+    return [[rename(row[0]), *row[1:]] for row in rows]
+
+
+def edit_score_rows(data: bytes, edit) -> bytes:
+    """The output of score with edit applied to its rows, each a list of fields."""
+    header, *lines = data.decode("utf-8").splitlines()
+    rows = edit([line.split(",") for line in lines])
+    return "".join(f"{line}\n" for line in [header, *map(",".join, rows)]).encode("utf-8")
+
+
+#: How a relation changes the bytes that `score` writes; those of evaluate
+#: and correlate, and of score under every other relation, stay the same.
+SCORE_EDITS = {"swapped-candidates": swap_slots, "renamed-ids": rename_rows}
+
+
+def arguments(root: Path, command: str, out: Path) -> list[str]:
+    return [command, "--corpus", str(root / "corpus.jsonl"), "--tags", str(root / "tags.tsv"),
+            "--embeddings", str(root / "vectors.vec"), "--metrics", ",".join(METRICS[command]),
+            "--out", str(out)]
+
+
+def run(argv: list[str], out: Path) -> bytes:
+    assert main(argv) == 0
     return out.read_bytes()
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
+@pytest.fixture(scope="module", params=[5, 2], ids=["seed5", "seed2"])
+def workspace(request, tmp_path_factory):
     root = tmp_path_factory.mktemp("metamorphic")
-    write_workspace(root, seed=5)
+    write_workspace(root, seed=request.param)
     return root
 
 
 @pytest.fixture(scope="module")
 def unchanged(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("unchanged")
-    return {c: run(workspace, c, METRICS[c], out / f"{c}.csv") for c in METRICS}
+    return {c: run(arguments(workspace, c, out / f"{c}.csv"), out / f"{c}.csv") for c in METRICS}
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
@@ -174,9 +273,12 @@ def unchanged(workspace, tmp_path_factory):
 def test_equivalent_inputs_give_equal_bytes(workspace, unchanged, tmp_path, relation, command):
     for name in ("corpus.jsonl", "tags.tsv", "vectors.vec"):
         (tmp_path / name).write_bytes((workspace / name).read_bytes())
-    RELATIONS[relation](workspace, tmp_path, random.Random(relation))
-    metrics = METRICS[command][::-1] if relation == "reversed-metrics" else METRICS[command]
-    assert run(tmp_path, command, metrics, tmp_path / "out.csv") == unchanged[command]
+    out = tmp_path / "out.csv"
+    argv = RELATIONS[relation](tmp_path, arguments(tmp_path, command, out), random.Random(relation))
+    want = unchanged[command]
+    if command == "score" and relation in SCORE_EDITS:
+        want = edit_score_rows(want, SCORE_EDITS[relation])
+    assert run(argv, out) == want
 
 
 @settings(derandomize=True, max_examples=50)
