@@ -534,7 +534,8 @@ def load_config_file(path: Path) -> dict[str, str]:
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse the flags. With --config, the file's values become the command's
     defaults and the flags are parsed again, so that flags win and each
-    value goes through its flag's converter. Then check the required flags.
+    value goes through its flag's converter. Then check the required flags,
+    and that no second source of tags is given, which would go unread.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -553,6 +554,10 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required")
+    model = getattr(args, "tagger_model", None)
+    for name in ("tags", "train"):
+        if model is not None and getattr(args, name, None) is not None:
+            raise ValueError(f"give --{name} or --tagger-model, not both")
     return args
 
 
@@ -563,7 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

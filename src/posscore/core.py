@@ -68,6 +68,11 @@ class TagSet:
     members: frozenset[PosTag]
 
     def __post_init__(self) -> None:
+        # any iterable of tags is held as a frozenset, so that the tag set hashes
+        members = tuple(self.members) if isinstance(self.members, Iterable) else None
+        if members is None or not all(isinstance(t, PosTag) for t in members):
+            raise ValueError(f"tag set members must be PosTag values, got {self.members!r}")
+        object.__setattr__(self, "members", frozenset(members))
         if not self.members:
             raise ValueError("tag set must not be empty")
         bad = self.members - ADOPTED_TAGS

@@ -106,20 +106,19 @@ class SentenceVector:
             raise ValueError("zero-support vector must be all zeros")
 
 
-def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
+def load_vec(path: str | Path, vocab_filter: set[str]) -> EmbeddingTable:
     """Load a fastText-style text embedding file.
 
     Token keys are casefolded; when casefolding collides, the first
-    occurrence wins. With `vocab_filter` set, only rows whose casefolded
-    token is in it are kept, and the values of the other rows are never
-    parsed. Every row's value count is still checked against the header
-    dimension: a mismatch, or in a kept row a non-numeric or non-finite
-    value or a squared norm past the float range, raises ValueError naming
-    the line. Values follow Python `float()` syntax. Kept rows are parsed a
-    block at a time and stored in a matrix of one row per `vocab_filter`
-    word (without one, it doubles when full), cut at the end: as int32 codes
-    when a power-of-ten scale holds every value exactly, as in a file of
-    decimals, else as float64 (`_store`).
+    occurrence wins. Only rows whose casefolded token is in `vocab_filter`
+    are kept, and the values of the other rows are never parsed. Every
+    row's value count is still checked against the header dimension: a
+    mismatch, or in a kept row a non-numeric or non-finite value or a
+    squared norm past the float range, raises ValueError naming the line.
+    Values follow Python `float()` syntax. Kept rows are parsed a block at a
+    time and stored in a matrix of one row per `vocab_filter` word, cut at
+    the end: as int32 codes when a power-of-ten scale holds every value
+    exactly, as in a file of decimals, else as float64 (`_store`).
     """
     path = Path(path)
     index: dict[str, int] = {}
@@ -135,7 +134,6 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
         matrix = np.empty((0, dim), np.int32)
-        capacity = 1024 if vocab_filter is None else len(vocab_filter)
         scale = 1.0  # picked by the first block
         for lineno, line in enumerate(text, start=2):
             if line.isspace():
@@ -149,13 +147,11 @@ def load_vec(path: str | Path, vocab_filter: set[str] | None = None) -> Embeddin
                 raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
             cut = line.find(" ")
             token = line[:cut].casefold()
-            if (vocab_filter is not None and token not in vocab_filter) or token in index:
+            if token not in vocab_filter or token in index:
                 continue
             row = len(index)
             if not row:  # allocated only once a row has passed its value-count check
-                matrix = np.empty((capacity, dim), np.int32)
-            elif row == len(matrix):  # only without vocab_filter; no view of matrix is alive
-                matrix.resize((2 * row, dim), refcheck=False)
+                matrix = np.empty((len(vocab_filter), dim), np.int32)
             index[token] = row
             values = line[cut + 1 : len(line) - padded - line.endswith("\n")]
             pending.append((lineno, token, values))

@@ -33,8 +33,15 @@ BASE_METRIC_IDS = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "ea")
 _HARD_BASES = frozenset({"bleu1", "bleu2", "bleu3", "bleu4"})
 
 
+def _tag_symbol(tag: PosTag) -> Token:
+    """tag as a token whose norm keeps its capitals (NOUN), which no casefolded word holds."""
+    symbol = Token(tag.value)
+    object.__setattr__(symbol, "norm", tag.value)
+    return symbol
+
+
 #: One token per POS tag: PTLC scores tag sequences as token sequences.
-_TAG_TOKENS = {tag: Token(tag.value) for tag in PosTag}
+_TAG_TOKENS = {tag: _tag_symbol(tag) for tag in PosTag}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ on-disk workspace (corpus, tags, vectors, external scores) for CLI tests.
 
 from __future__ import annotations
 
+import gzip
 import json
 import random
 
@@ -156,6 +157,15 @@ def write_vec_file(path, dim: int = 6) -> None:
         fh.write(f"{len(rows)} {dim}\n")
         for w, vec in rows.items():
             fh.write(w + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+
+
+def vec_words(path) -> set[str]:
+    """The casefolded token of every row of a .vec or .vec.gz file: the
+    vocabulary with which `load_vec` keeps every row."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        next(fh, None)
+        return {line.split(" ", 1)[0].casefold() for line in fh if not line.isspace()}
 
 
 @pytest.fixture(scope="session")

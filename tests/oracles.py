@@ -65,7 +65,7 @@ def sequential_average(norms: Sequence[str], rows: Mapping[str, np.ndarray], dim
     return acc
 
 
-def rowwise_load_vec(path, vocab_filter: set[str] | None = None) -> tuple[dict, np.ndarray]:
+def rowwise_load_vec(path, vocab_filter: set[str]) -> tuple[dict, np.ndarray]:
     """`load_vec`'s rules with every kept row parsed on its own by float():
     returns (index, matrix) or raises its ValueError.
     """
@@ -89,7 +89,7 @@ def rowwise_load_vec(path, vocab_filter: set[str] | None = None) -> tuple[dict, 
                 raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {count}")
             cut = line.find(" ")
             token = line[:cut].casefold()
-            if (vocab_filter is not None and token not in vocab_filter) or token in index:
+            if token not in vocab_filter or token in index:
                 continue
             fields = line[cut + 1 :].rstrip("\n").split(" ", dim)[:dim]
             try:

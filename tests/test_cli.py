@@ -12,6 +12,8 @@ from posscore.core import TaggedSentence, Token, tokenize
 from posscore.ingest import reservoir_sample
 from posscore.postag import MODEL_MAGIC, load_tagged, remap_aux_to_verb, write_tagged
 
+from conftest import vec_words
+
 
 def run(*argv):
     return main(list(argv))
@@ -1030,6 +1032,33 @@ class TestCommandFlags:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["score", "evaluate", "correlate", "analyze"])
+    @pytest.mark.parametrize("given", ["flags", "config", "both"])
+    def test_two_tag_sources_exit_2(self, cli_workspace, tagger_model, tmp_path, capsys,
+                                    command, given):
+        # the second source would go unread, as flags, config keys or one of each
+        sources = {"tags": cli_workspace / "tags.tsv", "tagger-model": tagger_model}
+        cfgfile = tmp_path / "run.cfg"
+        in_file = {"flags": [], "config": list(sources), "both": ["tags"]}[given]
+        cfgfile.write_text("".join(f"{k}={sources[k]}\n" for k in in_file))
+        flags = [x for k in sources if k not in in_file for x in (f"--{k}", str(sources[k]))]
+        out = tmp_path / "out"
+        rc = run(command, "--corpus", str(cli_workspace / "corpus.jsonl"), *flags,
+                 "--config", str(cfgfile), "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: give --tags or --tagger-model, not both\n"
+        assert not out.exists()
+
+    def test_training_refuses_a_tagger_model(self, cli_workspace, tagger_model, tmp_path,
+                                             capsys):
+        # tag --train fits a new model; a given one would go unread
+        out = tmp_path / "new.model"
+        rc = run("tag", "--train", str(cli_workspace / "tags.tsv"),
+                 "--tagger-model", str(tagger_model), "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: give --train or --tagger-model, not both\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("metric", [
         "pwe", "pwe:rouge", "posscore:a:b", "posscore:det", "foo", "bleu1:x", "ptlc:bleu1:verb:x",
     ])
@@ -1184,7 +1213,8 @@ class TestSample:
         assert len(folded) == 3 * 3
         rows = read_csv(out)[1:]
         assert len(rows) == 3 * 2 * len(metrics)
-        table = load_vec(cli_workspace / "vectors.vec")
+        vectors = cli_workspace / "vectors.vec"
+        table = load_vec(vectors, vec_words(vectors))
         sentences = run_sentences(cli_workspace, tagged=True, duplicate=False)
         for set_id, slot, metric_id, tagset_name, value in rows:
             score = direct_scorer(metric_id, tagset_name, table, None, True)
@@ -1556,7 +1586,8 @@ class TestRegistryOracle:
         rows = read_csv(out)[1:]
         assert len({r[2] for r in rows}) == len(metrics)
 
-        table = load_vec(cli_workspace / "vectors.vec")
+        vectors = cli_workspace / "vectors.vec"
+        table = load_vec(vectors, vec_words(vectors))
         sentences = run_sentences(cli_workspace, tagged, "--duplicate-bad" in options)
         count_punct = "off" not in options
         for set_id, slot, metric_id, tagset_name, value in rows:

@@ -13,6 +13,7 @@ from posscore.core import (
     Token,
     tokenize,
 )
+from posscore.posmetrics import posscore
 
 from oracles import chunkwise_tokenize
 
@@ -49,6 +50,25 @@ class TestTagSet:
     def test_rejects_an_empty_set(self):
         with pytest.raises(ValueError, match="tag set must not be empty"):
             TagSet(frozenset())
+
+    @pytest.mark.parametrize(
+        "members", [{PosTag.NOUN, PosTag.ADJ}, [PosTag.ADJ, PosTag.NOUN, PosTag.NOUN]],
+        ids=["set", "list"],
+    )
+    def test_any_iterable_of_tags_is_held_as_a_frozenset(self, members, toy_table):
+        ts = TagSet(members)
+        assert type(ts.members) is frozenset and ts.members == {PosTag.ADJ, PosTag.NOUN}
+        assert ts == TagSet.parse("adj+noun") and hash(ts) == hash(TagSet.parse("adj+noun"))
+        s = TaggedSentence.from_strings([("big", "ADJ"), ("cat", "NOUN")])
+        assert posscore(s, s, ts, toy_table) == posscore(s, s, TagSet.parse("adj+noun"), toy_table)
+
+    @pytest.mark.parametrize(
+        "members", ["NOUN", {PosTag.NOUN, "VERB"}, PosTag.NOUN],
+        ids=["string", "stray-member", "lone-tag"],
+    )
+    def test_refuses_members_that_are_not_tags(self, members):
+        with pytest.raises(ValueError, match="tag set members must be PosTag values"):
+            TagSet(members)
 
     def test_name_is_its_members_in_display_order(self):
         # no name is stored, so none can disagree with the members scored

@@ -18,6 +18,7 @@ from posscore.embed import (
     load_vec,
 )
 
+from conftest import vec_words
 from oracles import rowwise_load_vec, sequential_average
 
 
@@ -29,7 +30,7 @@ class TestLoadVec:
     def test_basic(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("2 3\na 1.0 0.0 0.0\nb 0.0 1.0 0.0\n")
-        table = load_vec(p)
+        table = load_vec(p, vec_words(p))
         assert table.dim == 3
         assert len(table) == 2
         np.testing.assert_array_equal(table.get("a"), [1.0, 0.0, 0.0])
@@ -38,13 +39,20 @@ class TestLoadVec:
         p = tmp_path / "t.vec"
         p.write_text("2 3\na 1.0 0.0 0.0\nb 0.0 1.0\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_vec(p)
+            load_vec(p, vec_words(p))
 
     def test_vocab_filter(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("2 2\na 1.0 0.0\nb 0.0 1.0\n")
         table = load_vec(p, vocab_filter={"a"})
         assert len(table) == 1 and "a" in table and "b" not in table
+
+    def test_a_vocabulary_is_required(self, tmp_path):
+        # a load holds the rows its vocabulary can look up, never the whole file
+        p = tmp_path / "t.vec"
+        p.write_text("1 2\na 1.0 0.5\n")
+        with pytest.raises(TypeError):
+            load_vec(p)
 
     def test_filtered_out_row_arity_still_checked(self, tmp_path):
         p = tmp_path / "t.vec"
@@ -63,7 +71,7 @@ class TestLoadVec:
         p = tmp_path / "t.vec"
         p.write_text("2 2\nb 0.0 1.0\na 1.0 x\n")
         with pytest.raises(ValueError, match=r"t\.vec: line 3: .*'x'"):
-            load_vec(p)
+            load_vec(p, vec_words(p))
 
     def test_filtered_out_row_values_not_parsed(self, tmp_path):
         p = tmp_path / "t.vec"
@@ -81,26 +89,26 @@ class TestLoadVec:
     def test_duplicates_keep_first(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("3 2\na 1.0 0.0\nA 9.0 9.0\nb 0.0 1.0\n")
-        table = load_vec(p)
+        table = load_vec(p, vec_words(p))
         np.testing.assert_array_equal(table.get("a"), [1.0, 0.0])
 
     def test_keys_casefolded(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("1 2\nParis 1.0 2.0\n")
-        assert "paris" in load_vec(p)
+        assert "paris" in load_vec(p, vec_words(p))
 
     def test_gzip_variant(self, tmp_path):
         p = tmp_path / "t.vec.gz"
         with gzip.open(p, "wt", encoding="utf-8") as fh:
             fh.write("1 2\na 1.0 0.5\n")
-        table = load_vec(p)
+        table = load_vec(p, vec_words(p))
         np.testing.assert_array_equal(table.get("a"), [1.0, 0.5])
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("nonsense\na 1.0\n")
         with pytest.raises(ValueError, match="line 1"):
-            load_vec(p)
+            load_vec(p, vec_words(p))
 
     @pytest.mark.parametrize("header, problem", [
         ("1 x", "non-integer dimension 'x'"),
@@ -110,9 +118,10 @@ class TestLoadVec:
         p = tmp_path / "t.vec"
         p.write_text(f"{header}\na 1.0\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 1: {problem}$"):
-            load_vec(p)
+            load_vec(p, vec_words(p))
 
-    @pytest.mark.parametrize("vocab", [None, {"a", "b"}], ids=["unfiltered", "filtered"])
+    # "unfiltered" keeps every word of the file, "filtered" looks one up that it lacks
+    @pytest.mark.parametrize("vocab", [{"a"}, {"a", "b"}], ids=["unfiltered", "filtered"])
     def test_a_huge_header_dimension_is_refused_at_its_first_row(self, tmp_path, vocab):
         # rows of the header's dimension once were allocated before any row
         # was read: hundreds of GiB here, and an internal error
@@ -123,7 +132,7 @@ class TestLoadVec:
         ):
             load_vec(p, vocab)
 
-    @pytest.mark.parametrize("vocab", [None, {"a", "b"}], ids=["unfiltered", "filtered"])
+    @pytest.mark.parametrize("vocab", [{"a"}, {"a", "b"}], ids=["unfiltered", "filtered"])
     def test_a_header_alone_loads_an_empty_table(self, tmp_path, vocab):
         p = tmp_path / "t.vec"
         p.write_text("0 100000000000\n")
@@ -136,7 +145,7 @@ class TestLoadVec:
         p = tmp_path / "t.vec"
         p.write_text("2 2\na 1e154 1e153\nb 1e200 0\n")
         with pytest.raises(ValueError, match=r"line 3: squared norm past the float range in 'b'"):
-            load_vec(p)
+            load_vec(p, vec_words(p))
         assert load_vec(p, vocab_filter={"a"}).get("a")[0] == 1e154
 
     def test_rows_are_read_only_decoded_copies(self, tmp_path):
@@ -156,8 +165,8 @@ class TestLoadVec:
                 row[0] = 9.0
 
     def test_unfiltered_load_grows_past_its_first_capacity(self, tmp_path):
-        # 2,500 rows, more than the 1,024 the matrix starts with, plus one
-        # casefold collision whose first row must win
+        # the file's 2,500 distinct words all kept, plus one casefold
+        # collision whose first row must win
         rng = np.random.default_rng(21)
         values = rng.normal(size=(2500, 3)).round(6)
         p = tmp_path / "t.vec"
@@ -166,7 +175,7 @@ class TestLoadVec:
             for i, row in enumerate(values):
                 fh.write(f"w{i} " + " ".join(repr(float(x)) for x in row) + "\n")
             fh.write("W7 9.0 9.0 9.0\n")
-        table = load_vec(p)
+        table = load_vec(p, vec_words(p))
         assert len(table) == 2500 and table.matrix.shape == (2500, 3)
         assert table.index == {f"w{i}": i for i in range(2500)}
         assert (float_rows(table) + 0.0).tobytes() == (values + 0.0).tobytes()
@@ -205,8 +214,10 @@ def load_both(path, vocab_filter=None):
     """What load_vec and the row-wise oracle make of one file: (index, shape,
     bytes of the float64 rows) or the ValueError text, for each; `+ 0.0`
     turns a -0.0 into 0.0, the one value an int32 table does not keep. A
-    warning fails the test.
+    warning fails the test. Without vocab_filter both keep every word.
     """
+    if vocab_filter is None:
+        vocab_filter = vec_words(path)
     out = []
     for load in (load_vec, rowwise_load_vec):
         try:
@@ -348,7 +359,7 @@ class TestStoragePaths:
             f"{len(rows)} {dim}\n" + "".join(f"{w} {' '.join(r)}\n" for w, r in zip(words, rows)),
             encoding="utf-8",
         )
-        vocab = set(words[::2]) | {"absent"} if filtered else None
+        vocab = set(words[::2]) | {"absent"} if filtered else set(words)
         table = load_vec(p, vocab)
         index, matrix = rowwise_load_vec(p, vocab)
         scale = STORAGE_CASES[case]
@@ -367,7 +378,7 @@ class TestStoragePaths:
     def test_a_decimal_file_takes_four_bytes_a_value(self, tmp_path):
         p = tmp_path / "t.vec"
         p.write_text("3 4\nchess 0.1 0.2 0.3 0.4\nlove 0.0 0.5 0.5 -0.0\nfun 0.9 0.1 0.0 0.2\n")
-        table = load_vec(p)
+        table = load_vec(p, vec_words(p))
         assert table.matrix.dtype == np.int32 and table.scale == 10.0
         assert table.matrix.nbytes == 4 * 3 * 4
         assert table.get("love").tobytes() == np.array([0.0, 0.5, 0.5, 0.0]).tobytes()

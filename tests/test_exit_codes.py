@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from posscore.cli import main
+from posscore.cli import COMMANDS, main
 
 #: input kind -> (workspace file the case starts from, command reading it as {path})
 KINDS = {
@@ -199,3 +199,14 @@ def test_a_directory_given_as_an_input_names_the_flag(value, tmp_path, capsys):
     # an empty value reads as ".", the working directory
     assert main(["score", "--corpus", value, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.endswith(f"argument --corpus: is a directory: {value}\n")
+
+
+def test_a_fault_in_a_command_exits_1(workspace, tmp_path, capsys, monkeypatch):
+    # exit 1 is kept for the program's own faults, reported as such
+    def broken(args):
+        raise RuntimeError("no such state")
+
+    monkeypatch.setitem(COMMANDS, "score", broken)
+    out = tmp_path / "x.csv"
+    assert main(["score", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "internal error: no such state\n"

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module imports is used in that module: the modules of the
+package, of the tests and of the benchmark (which this test only reads).
 
-`__init__.py` re-exports by importing, and `from __future__` imports are
-directives, so both are skipped; an import line marked `# noqa: F401` is
-kept on purpose.
+The package's `__init__.py` re-exports by importing, and `from __future__`
+imports are directives, so both are skipped; an import line marked
+`# noqa: F401` is kept on purpose.
 """
 
 import ast
@@ -12,8 +13,10 @@ import pytest
 
 import posscore
 
-MODULES = sorted(
-    p for p in Path(posscore.__file__).parent.glob("*.py") if p.name != "__init__.py"
+PACKAGE = Path(posscore.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for folder in ("tests", "perfbench") for p in (ROOT / folder).glob("*.py")
 )
 
 
@@ -34,7 +37,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

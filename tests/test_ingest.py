@@ -256,6 +256,11 @@ class TestBuildUsrSets:
         assert len(sets) == 1
         assert sets[0].candidate_a == "r1"
 
+    def test_a_response_built_without_scores_is_refused(self):
+        # its final score would divide by zero; only a reference may have none
+        with pytest.raises(ValueError, match="needs at least one quality score"):
+            AnnotatedResponse("r", ())
+
     def test_good_always_slot_a(self):
         rng = random.Random(6)
         responses = [resp(f"r{i}", rng.randint(1, 5)) for i in range(6)]
@@ -296,6 +301,11 @@ def curve_fractions(*dialogues):
 
 class TestNormalizeVotes:
     """vote_gt_curve bins each answer by its votes over its dialogue's maximum."""
+
+    def test_an_answer_built_with_negative_votes_is_refused(self):
+        # vote_gt_curve would count it into a negative bin
+        with pytest.raises(ValueError, match="votes must be >= 0"):
+            ForumAnswer("x", -1, False)
 
     def test_division_by_max(self):
         answers = [ForumAnswer("x", 4, True), ForumAnswer("y", 2, True)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from posscore.basemetrics import PreparedTokens, bleu_n, embedding_average, meteor
-from posscore.core import PosTag, TaggedSentence, TagSet, Token
+from posscore.core import ADOPTED_TAGS, PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
 from posscore.posmetrics import (
     BASE_METRIC_IDS,
@@ -53,7 +53,7 @@ class TestPosSplit:
         )
         split = pos_split(sent, TagSet.parse("noun+verb"))
         assert [t.surface for t in split.pos_words.tokens] == ["cat", "sat"]
-        assert split.tag_tokens == (Token("NOUN"), Token("VERB"))
+        assert [t.norm for t in split.tag_tokens] == ["NOUN", "VERB"]
         assert [t.surface for t in split.non_pos_words.tokens] == ["the", "."]
         # every token lands on exactly one side
         assert len(split.pos_words.tokens) + len(split.non_pos_words.tokens) == len(sent)
@@ -232,6 +232,21 @@ class TestPtlc:
         score = ptlc(ref, cand, NOUN_VERB, "bleu1")
         assert score.value < 1.0
         assert pwe(ref, cand, NOUN_VERB, "bleu1").value == pytest.approx(1.0)
+
+    def test_the_example_where_a_word_spelled_verb_met_the_verb_symbol(self):
+        ref = tagged(("verb", "NOUN"), ("long", "ADJ"))
+        cand = tagged(("run", "VERB"), ("short", "ADJ"))
+        assert ptlc(ref, cand, DEFAULT, "bleu1").details["p1"] == 0.25
+
+    @pytest.mark.parametrize("tag", sorted(ADOPTED_TAGS, key=lambda t: t.value))
+    @pytest.mark.parametrize("spell", [str.lower, str.upper], ids=["lower", "upper"])
+    def test_a_word_spelled_like_a_tag_never_matches_its_symbol(self, tag, spell):
+        # the reference word is the tag's name, tagged otherwise: it scores
+        # as any other word would, though the candidate holds that tag
+        other = PosTag.ADJ if tag is not PosTag.ADJ else PosTag.ADV
+        cand = tagged(("zzz", tag.value))
+        named = ptlc(tagged((spell(tag.value), other.value)), cand, FULL, "bleu1")
+        assert named == ptlc(tagged(("cat", other.value)), cand, FULL, "bleu1")
 
     def test_metric_id(self):
         s = tag_text("the cat sat")
