@@ -5,9 +5,11 @@ BLEU uses an epsilon floor (1e-9) on zero precision counts instead of a
 smoothing schedule, so short responses never hard-zero. METEOR follows the
 alpha=0.9, beta=3, gamma=0.5 parameterization with a three-stage matcher
 (exact, Porter stem, optional synonym lexicon). Its alignment has the most
-matches and, among those, the fewest chunks. The details report
-exact_alignment = 1 when that chunk count is proven optimal, by a lower
-bound or by a finished search, at any sentence length; otherwise the best
+matches and, among those, the fewest chunks. It starts from the longest
+runs of consecutive matches, and tries other alignments only when those
+miss a lower bound on the chunk count. The details report
+exact_alignment = 1 when that chunk count is proven optimal, by the bound
+or by a finished search, at any sentence length; otherwise the best
 alignment found is scored and exact_alignment = 0.
 """
 
@@ -190,24 +192,22 @@ def _match_edges(
     return adj
 
 
-def _max_matching(
-    adj: Sequence[Sequence[int]], n_ref: int, start: Sequence[int] | None = None
-) -> list[int]:
+def _max_matching(adj: Sequence[Sequence[int]], start: Sequence[int]) -> list[int]:
     """Kuhn's augmenting-path maximum bipartite matching.
 
-    Returns match_of_ref (length n_ref, -1 = free). Starting from the
-    matching `start` (same form; empty by default), it searches one
-    augmenting path from each candidate still free; a matched candidate
-    stays matched, possibly to another position. Deterministic. The
-    depth-first search runs on an explicit stack, trying each adj[i] in
+    Returns match_of_ref (one entry per reference position, -1 = free).
+    Starting from the matching `start` (same form; all -1 for none), it
+    searches one augmenting path from each candidate still free; a matched
+    candidate stays matched, possibly to another position. Deterministic.
+    The depth-first search runs on an explicit stack, trying each adj[i] in
     order, so long inputs cannot exhaust the interpreter's recursion limit.
     """
-    match_of_ref = [-1] * n_ref if start is None else list(start)
+    match_of_ref = list(start)
     matched = set(match_of_ref)
     # A position a failed search visited leads only to positions failed
     # searches visited, all matched, so no later augmenting path can use it:
     # it stays visited for good. A successful search clears its own marks.
-    visited = [False] * n_ref
+    visited = [False] * len(match_of_ref)
     for root in range(len(adj)):
         if root in matched:
             continue
@@ -249,7 +249,8 @@ def _count_chunks(match_of_ref: Sequence[int]) -> int:
 
 def _diagonal_runs(adj: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     """Every maximal run (i, j, length): edges (i+k, j+k) for k < length."""
-    rows = [set(row) for row in adj]
+    sets: dict[int, set[int]] = {}  # one set per row object: equal stems share rows
+    rows = [sets[id(r)] if id(r) in sets else sets.setdefault(id(r), set(r)) for r in adj]
     runs = []
     for i, row in enumerate(adj):
         before = rows[i - 1] if i else ()
@@ -306,31 +307,28 @@ def _min_chunk_alignment(adj: Sequence[Sequence[int]], n_ref: int) -> tuple[int,
     pairs an edge (i, j) with (i+1, j+1), and distinct steps use distinct i
     and distinct j, so chunks >= max(1, matches - min(Dc, Dr)), where Dc
     (Dr) counts the candidate (reference) positions that start such a pair.
-    Candidates are tried in turn and the first to meet that bound is
-    returned: the plain maximum matching, then the longest free diagonal
-    runs augmented to maximum cardinality, then (at most _ALIGN_MAX_LEN
-    tokens a side) a branch-and-bound search seeded with the better of the
-    two. Otherwise, or when the search exceeds its node budget, the best
-    alignment found is returned with exact = False.
+    The run-seeded matching decides first: the longest free diagonal runs,
+    augmented to maximum cardinality. Only when it is above that bound is
+    the plain maximum matching tried too, and the fewer chunks kept. If
+    neither meets the bound, a branch-and-bound search (at most
+    _ALIGN_MAX_LEN tokens a side) is seeded with that count. Otherwise, or
+    when the search exceeds its node budget, the best alignment found is
+    returned with exact = False.
     """
     n_cand = len(adj)
-    plain = _max_matching(adj, n_ref)
-    target = n_ref - plain.count(-1)
+    runs = _diagonal_runs(adj)
+    seeded = _max_matching(adj, _longest_runs(adj, runs, n_ref))
+    target = n_ref - seeded.count(-1)
     if target == 0:
         return 0, 0, True
-    best_chunks = _count_chunks(plain)
-    runs = _diagonal_runs(adj)
+    best_chunks = _count_chunks(seeded)
     steps_i = {i + k for i, _, length in runs for k in range(length - 1)}
     steps_j = {j + k for _, j, length in runs for k in range(length - 1)}
     bound = max(1, target - min(len(steps_i), len(steps_j)))
-    if best_chunks == bound:
-        return target, best_chunks, True
-    seeded = _max_matching(adj, n_ref, _longest_runs(adj, runs, n_ref))
-    best_chunks = min(best_chunks, _count_chunks(seeded))
-    if best_chunks == bound:
-        return target, best_chunks, True
-    if n_cand > _ALIGN_MAX_LEN or n_ref > _ALIGN_MAX_LEN:
-        return target, best_chunks, False
+    if best_chunks > bound:
+        best_chunks = min(best_chunks, _count_chunks(_max_matching(adj, [-1] * n_ref)))
+    if best_chunks == bound or n_cand > _ALIGN_MAX_LEN or n_ref > _ALIGN_MAX_LEN:
+        return target, best_chunks, best_chunks == bound
 
     # suffix_cap[i] = how many candidates at position >= i have any edge;
     # optimistic bound on matches still obtainable from position i onward.

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -569,7 +570,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
-        print(f"internal error: {exc}", file=sys.stderr)
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        place = f"{Path(where.filename).name}:{where.lineno} in {where.name}"
+        print(f"internal error: {type(exc).__name__}: {exc} ({place})", file=sys.stderr)
         return 1
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from posscore.basemetrics import (
     MetricScore,
     SynonymLexicon,
+    _diagonal_runs,
     _max_matching,
     bleu_n,
     embedding_average,
@@ -158,8 +160,9 @@ class TestMeteor:
 
     def test_repeat_heavy_pairs_match_exhaustive_oracle(self):
         # four words, and a lexicon that chains big~large~huge without
-        # relating big to huge, so the plain matching, the longest-run seed,
-        # its augmentation and the search each decide some of these pairs
+        # relating big to huge, so the longest-run seed, its augmentation,
+        # the plain-matching fallback and the search each decide some of
+        # these pairs
         pairs = frozenset({("big", "large"), ("large", "huge")})
         lex = SynonymLexicon(list(pairs))
         rng = random.Random(2024)
@@ -181,8 +184,12 @@ class TestMeteor:
         function_words = "the a of in to and is it that for on with as at by".split()
         rng = random.Random(5)
         content = [f"w{k}" for k in range(300)]
-        for n in (1, 2, 3, 10, 48, 49, 120, 600, 2000):
-            words = [rng.choice(function_words if k % 2 else content) for k in range(n)]
+        cases = [[rng.choice(function_words if k % 2 else content) for k in range(n)]
+                 for n in (1, 2, 3, 10, 48, 49, 120, 600, 2000)]
+        # one word 1,000 times, where a plain maximum matching takes cubic time
+        cases.append(["the"] * 1000)
+        for words in cases:
+            n = len(words)
             x = [Token(w) for w in words]
             s = meteor(x, x)
             assert s.value == 1 - 0.5 / n**3, n
@@ -208,6 +215,46 @@ class TestMeteor:
             chunks.append((got.details["chunks"], optimum.details["chunks"]))
         assert chunks[0] == (3.0, 2.0)
 
+    @pytest.mark.parametrize("ref, cand, calls", [("a a", "a a", 1), ("a c c c", "c c a c", 2)])
+    def test_plain_matching_runs_only_when_the_seed_misses_the_bound(
+        self, ref, cand, calls, monkeypatch
+    ):
+        # the run seed aligns "a a" in one chunk, its bound; on the second
+        # pair it takes 3 chunks against a bound of 1, so the plain matching
+        # is computed too
+        seen = []
+
+        def spy(adj, start):
+            seen.append(start)
+            return _max_matching(adj, start)
+
+        monkeypatch.setattr("posscore.basemetrics._max_matching", spy)
+        meteor(toks(ref), toks(cand))
+        assert len(seen) == calls
+
+    def test_plain_matching_can_take_fewer_chunks_than_the_seed(self, monkeypatch):
+        # with synonyms the longest runs can lead the matching astray: here
+        # the seed takes 4 chunks and the plain matching 3; with no search
+        # budget the fallback alone gives the 3
+        lex = SynonymLexicon([("a", "b"), ("b", "c")])
+        monkeypatch.setattr("posscore.basemetrics._ALIGN_NODE_BUDGET", 0)
+        got = meteor(toks("a a b b"), toks("c a c b"), lex)
+        assert got.details["matches"] == 4.0
+        assert got.details["chunks"] == 3.0
+        assert got.details["exact_alignment"] == 0.0
+
+    def test_diagonal_runs_holds_one_set_per_shared_row(self):
+        # without synonyms equal stems share one row list; a set per
+        # candidate position took 280 MB for 2,000 copies of one word
+        row = list(range(300))
+        tracemalloc.start()
+        try:
+            _diagonal_runs([row] * 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+
     def test_matching_equals_recursive_kuhn(self):
         def kuhn(adj, n_ref):
             match_of_ref = [-1] * n_ref
@@ -232,7 +279,7 @@ class TestMeteor:
             adj = [[j for j in range(n_ref) if rng.random() < p] for _ in range(n_cand)]
             for row in adj:
                 rng.shuffle(row)
-            assert _max_matching(adj, n_ref) == kuhn(adj, n_ref), adj
+            assert _max_matching(adj, [-1] * n_ref) == kuhn(adj, n_ref), adj
 
     def test_oracle_with_synonyms(self):
         pairs = frozenset({("big", "large"), ("fast", "quick")})

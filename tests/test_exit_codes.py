@@ -201,12 +201,20 @@ def test_a_directory_given_as_an_input_names_the_flag(value, tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"argument --corpus: is a directory: {value}\n")
 
 
-def test_a_fault_in_a_command_exits_1(workspace, tmp_path, capsys, monkeypatch):
-    # exit 1 is kept for the program's own faults, reported as such
+@pytest.mark.parametrize(
+    "exc, said",
+    [(RuntimeError("no such state"), "RuntimeError: no such state"), (KeyError("s0001"), "KeyError: 's0001'")],
+    ids=["RuntimeError", "KeyError"],
+)
+def test_a_fault_in_a_command_exits_1(exc, said, workspace, tmp_path, capsys, monkeypatch):
+    # exit 1 is kept for the program's own faults, reported with the
+    # exception type and the innermost frame, so that a bare KeyError
+    # message still says what failed where
     def broken(args):
-        raise RuntimeError("no such state")
+        raise exc
 
     monkeypatch.setitem(COMMANDS, "score", broken)
     out = tmp_path / "x.csv"
     assert main(["score", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "internal error: no such state\n"
+    line = broken.__code__.co_firstlineno + 1
+    assert capsys.readouterr().err == f"internal error: {said} (test_exit_codes.py:{line} in broken)\n"
