@@ -55,8 +55,10 @@ from .posmetrics import (
     pos_split,
     pos_weight,
     posscore,
+    prepare_corpus,
     ptlc,
     pwe,
+    score_corpus,
     score_sets,
 )
 from .postag import (
@@ -115,11 +117,13 @@ __all__ = [
     "pos_weight",
     "posscore",
     "predictive_power",
+    "prepare_corpus",
     "ptlc",
     "pwe",
     "remap_aux_to_verb",
     "reservoir_sample",
     "save_model",
+    "score_corpus",
     "score_sets",
     "tag",
     "tokenize",

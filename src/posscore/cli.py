@@ -1,9 +1,9 @@
-"""Command-line front end for scoring, meta-evaluation, analysis, tagging,
-and corpus conversion.
-
-Every command is a pure function of its flags and input files: identical
-inputs produce byte-identical outputs. Exit codes: 0 success, 1 internal
-error, 2 invalid config or input.
+"""Command-line front end: parses flags and config files, runs each command
+on the library pipeline (`posmetrics.score_corpus`, or `prepare_corpus` for
+analyze and tag --corpus) and writes its output. Every command is a pure
+function of its flags and input files: identical inputs produce
+byte-identical outputs. Exit codes: 0 success, 1 internal error, 2 invalid
+config or input.
 """
 
 from __future__ import annotations
@@ -14,50 +14,19 @@ import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .basemetrics import SynonymLexicon
-# the benchmark's tests check that its instruments rebind these names here
+# perfbench/test_perfbench.py::test_instruments_restore_every_binding checks
+# that the benchmark's instruments rebind these names here and restore them
 from .basemetrics import bleu_n, meteor  # noqa: F401
-from .core import (
-    DEFAULT_TAG_SET,
-    FULL_TAG_SET,
-    TAG_DISPLAY_ORDER,
-    EvaluationSet,
-    TaggedSentence,
-    TagSet,
-    open_text,
-    tokenize,
-)
-from .embed import load_vec
+from .core import DEFAULT_TAG_SET, FULL_TAG_SET, TAG_DISPLAY_ORDER, EvaluationSet, TagSet, open_text
 from .ingest import (
-    build_forum_sets,
-    build_usr_sets,
-    load_external_scores,
-    load_forum_json,
-    load_jsonl,
-    load_usr_json,
-    reservoir_sample,
-    vote_gt_curve,
-    write_jsonl,
+    build_forum_sets, build_usr_sets, load_forum_json, load_jsonl, load_usr_json,
+    reservoir_sample, vote_gt_curve, write_jsonl,
 )
-from .metaeval import (
-    bonferroni,
-    kendall_tau,
-    paired_ttest,
-    pos_distribution,
-    predictive_power,
-)
-from .posmetrics import Metric, Response, score_sets
-from .postag import (
-    load_model,
-    load_tagged,
-    remap_aux_to_verb,
-    save_model,
-    tag as run_tagger,
-    train,
-    write_tagged,
-)
+from .metaeval import bonferroni, kendall_tau, paired_ttest, pos_distribution, predictive_power
+from .posmetrics import Metric, Response, Row, prepare_corpus, score_corpus
+from .postag import load_tagged, save_model, train, write_tagged
 
 ENV_DATA_DIR = "POSSCORE_DATA_DIR"
 
@@ -146,121 +115,22 @@ def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric
 
 
 # ---------------------------------------------------------------------------
-# scoring pipeline shared by score / evaluate / correlate
+# the pipeline keywords a command passes on, each the name of one of its flags
 
-#: One evaluation set with what the metrics score for its reference and its
-#: two candidates: tagged sentences when the run has a tag source, else the
-#: tokenized texts.
-Row = tuple[EvaluationSet, Response, Response, Response]
-
-
-def _texts(corpus: Iterable[EvaluationSet]) -> Iterator[str]:
-    """Reference, candidate a and candidate b of each set, in corpus order."""
-    for ev in corpus:
-        yield from (ev.reference, ev.candidate_a, ev.candidate_b)
+_PREPARE_KEYWORDS = ("tags", "tagger_model", "aux_as_verb", "sample", "seed")
+_SCORE_KEYWORDS = _PREPARE_KEYWORDS + (
+    "embeddings", "synonyms", "external_scores", "count_punct", "duplicate_bad"
+)
 
 
-def _has_tag_source(args: argparse.Namespace) -> bool:
-    return args.tags is not None or args.tagger_model is not None
+def _keywords(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
-def _rows(args: argparse.Namespace, corpus: list[EvaluationSet]) -> list[Row]:
-    """One row per sampled set, each response tagged or tokenized once.
-
-    A tags file carries three sentences per evaluation set of the whole
-    corpus, in corpus order: reference, candidate a, candidate b. Its
-    tokenization is authoritative for all metrics in the run. It is refused when
-    most picked sentences differ from their texts, as when shifted by a sentence.
-    """
-    # the sample depends on positions and the seed only: draw it first, and
-    # tag or tokenize only the picked sets
-    picked = _subsample(args, range(len(corpus)))
-    sampled = [corpus[i] for i in picked]
-    if args.tags is not None:
-        sentences = load_tagged(args.tags)
-        if len(sentences) != 3 * len(corpus):
-            raise ValueError(
-                f"{args.tags}: expected {3 * len(corpus)} sentences "
-                f"(3 per evaluation set), found {len(sentences)}"
-            )
-        sentences = [sentences[3 * i + k] for i in picked for k in range(3)]
-        spelled = ("".join(tok.surface for tok, _ in sentence) for sentence in sentences)
-        differ = [j for j, (text, surfaces) in enumerate(zip(_texts(sampled), spelled))
-                  if "".join(text.split()).casefold() != "".join(surfaces.split()).casefold()]
-        if 2 * len(differ) > len(sentences):
-            i, k = divmod(differ[0], 3)
-            role = ("reference", "candidate a", "candidate b")[k]
-            raise ValueError(f"{args.tags}: sentence {3 * picked[i] + k + 1} does not match the "
-                             f"{role} of set {sampled[i].id!r}; {len(differ)} of {len(sentences)} "
-                             "sentences differ from --corpus")
-    elif args.tagger_model is not None:
-        model = load_model(args.tagger_model)
-        pairs = {}  # one (token, tag) pair per distinct pair of the run
-        sentences = [run_tagger(model, tokenize(text), pairs) for text in _texts(sampled)]
-    else:
-        sentences = [tokenize(text) for text in _texts(sampled)]
-    if _has_tag_source(args) and args.aux_as_verb:
-        # in place, so that a sentence and its folded copy are not both kept
-        for j, sentence in enumerate(sentences):
-            sentences[j] = remap_aux_to_verb(sentence)
-    it = iter(sentences)
-    return list(zip(sampled, it, it, it))
-
-
-def _duplicate_bad(row: Row) -> Row:
-    """The bad candidate said twice, as tokenize(f"{text} {text}") would give it."""
-    ev, *responses = row
-    i = 1 if ev.bad_slot == "a" else 2
-    bad = responses[i]
-    responses[i] = TaggedSentence(bad.items * 2) if isinstance(bad, TaggedSentence) else bad * 2
-    return (ev, *responses)
-
-
-def _subsample(args: argparse.Namespace, items: Iterable) -> list:
-    if args.sample is None:
-        return list(items)
-    return reservoir_sample(items, args.sample, args.seed)
-
-
-def _run_scoring(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
-    """The sampled corpus and the score table: metric id -> (tag set name,
-    set id -> (score a, score b)), both in id order. Ids without a tag set
-    are the base metrics and the external scores.
-    """
+def _score_corpus(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
     corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
-    for m in metrics:
-        if m.needs_embeddings and args.embeddings is None:
-            raise ValueError(f"metric {m.metric_id!r} requires --embeddings")
-        if m.needs_tags and not _has_tag_source(args):
-            raise ValueError(
-                f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
-            )
-    synonyms = SynonymLexicon.load(args.synonyms) if args.synonyms is not None else None
-    rows = _rows(args, corpus)
-    table = None
-    if args.embeddings is not None and any(m.needs_embeddings for m in metrics):
-        # load only the `.vec` rows the run's tokens can look up
-        vocab = {tok.norm for row in rows for r in row[1:]
-                 for tok in (r.tokens if isinstance(r, TaggedSentence) else r)}
-        table = load_vec(args.embeddings, vocab_filter=vocab)
-        if not table.index:
-            raise ValueError(f"{args.embeddings}: no token of the run has a vector in this file")
-    if args.duplicate_bad:
-        rows = [_duplicate_bad(row) for row in rows]
-    sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
-    scores = score_sets(metrics, sets, table, synonyms, args.count_punct)
-    columns = {m.metric_id: (m.tagset.name if m.tagset else "", scores[m.metric_id])
-               for m in metrics}
-    corpus = [row[0] for row in rows]
-    if args.external_scores is not None:
-        # an external score file joins the run as metric id ext:<file stem>
-        ext = load_external_scores(args.external_scores)
-        for ev in corpus:
-            if ev.id not in ext:
-                raise ValueError(f"{args.external_scores}: no scores for set {ev.id!r}")
-        columns[f"ext:{args.external_scores.stem}"] = ("", ext)
-    return sorted(corpus, key=lambda e: e.id), dict(sorted(columns.items()))
+    return score_corpus(corpus, metrics, **_keywords(args, _SCORE_KEYWORDS))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -275,7 +145,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    corpus, table = _run_scoring(args)
+    corpus, table = _score_corpus(args)
     rows = [
         [ev.id, slot, mid, tagset, repr(scores[ev.id][k])]
         for ev in corpus
@@ -287,7 +157,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus, table = _run_scoring(args)
+    corpus, table = _score_corpus(args)
     powers = {mid: predictive_power(corpus, scores, mid) for mid, (_, scores) in table.items()}
     baseline = args.baseline
     if baseline is None:
@@ -316,7 +186,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    corpus, table = _run_scoring(args)
+    corpus, table = _score_corpus(args)
     ids = list(table)
     vectors = {mid: [s for ev in corpus for s in scores[ev.id]]
                for mid, (_, scores) in table.items()}
@@ -339,9 +209,9 @@ def _group_response(row: Row, group: str) -> Response:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     corpus = load_jsonl(args.corpus)
-    if not _has_tag_source(args):
+    if args.tags is None and args.tagger_model is None:
         raise ValueError("analyze requires a tag source (--tags or --tagger-model)")
-    rows = _rows(args, corpus)
+    rows = prepare_corpus(corpus, **_keywords(args, _PREPARE_KEYWORDS))
     args.out.mkdir(parents=True, exist_ok=True)
     table = []
     for group in args.groups:
@@ -374,10 +244,9 @@ def cmd_tag(args: argparse.Namespace) -> int:
         return 0
     if args.tagger_model is None:
         raise ValueError("tag --corpus requires --tagger-model")
-    corpus = load_jsonl(args.corpus)
-    model = load_model(args.tagger_model)
-    pairs = {}
-    write_tagged([run_tagger(model, tokenize(text), pairs) for text in _texts(corpus)], args.out)
+    rows = prepare_corpus(load_jsonl(args.corpus), tagger_model=args.tagger_model,
+                          aux_as_verb=False)
+    write_tagged([sentence for row in rows for sentence in row[1:]], args.out)
     return 0
 
 
@@ -388,7 +257,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         sets = build_usr_sets(load_usr_json(args.input))
     else:
         sets = build_forum_sets(load_forum_json(args.input))
-    sets = _subsample(args, sets)
+    if args.sample is not None:
+        sets = reservoir_sample(sets, args.sample, args.seed)
     if not sets:
         raise ValueError(f"{args.input}: no evaluation sets")
     write_jsonl(sets, args.out)

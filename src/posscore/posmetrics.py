@@ -1,5 +1,6 @@
-"""POS-aware response metrics: PWE, PTLC, and POSSCORE, and the metric
-registry (`Metric`) that scores a corpus set by set.
+"""POS-aware response metrics: PWE, PTLC, and POSSCORE; the metric registry
+(`Metric`) that scores a corpus set by set; and the run pipeline that takes
+a corpus to its score table (`prepare_corpus`, `score_corpus`).
 
 All three start from the same partition of a tagged response into POS words
 (tokens whose tag is in the chosen TagSet) and the remainder. PWE scores
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .basemetrics import (
     MetricScore,
@@ -24,8 +26,10 @@ from .basemetrics import (
     embedding_average,
     meteor,
 )
-from .core import DEFAULT_TAG_SET, PosTag, TaggedSentence, TagSet, Token
-from .embed import EmbeddingTable, cosine
+from .core import DEFAULT_TAG_SET, EvaluationSet, PosTag, TaggedSentence, TagSet, Token, tokenize
+from .embed import EmbeddingTable, cosine, load_vec
+from .ingest import load_external_scores, reservoir_sample
+from .postag import load_model, load_tagged, remap_aux_to_verb, tag as run_tagger
 
 #: Base metrics usable inside PWE and PTLC.
 BASE_METRIC_IDS = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "ea")
@@ -314,3 +318,125 @@ def score_sets(
                 m.score(ref, b, table, synonyms, count_punct).value,
             )
     return scores
+
+
+# ---------------------------------------------------------------------------
+# the run pipeline; each keyword is the `posscore` flag of the same name
+
+#: One evaluation set with what the metrics score for its reference and its
+#: two candidates: tagged sentences when the run has a tag source, else the
+#: tokenized texts.
+Row = tuple[EvaluationSet, Response, Response, Response]
+
+
+def _texts(corpus: Iterable[EvaluationSet]) -> Iterator[str]:
+    """Reference, candidate a and candidate b of each set, in corpus order."""
+    for ev in corpus:
+        yield from (ev.reference, ev.candidate_a, ev.candidate_b)
+
+
+def prepare_corpus(
+    corpus: Sequence[EvaluationSet], *, tags: str | Path | None = None,
+    tagger_model: str | Path | None = None, aux_as_verb: bool = True,
+    sample: int | None = None, seed: int = 0,
+) -> list[Row]:
+    """One row per set of the corpus, or of `sample` sets drawn with `seed`,
+    each response read from the tags file, tagged with the tagger model, or
+    else tokenized, once. With a tag source and aux_as_verb, AUX folds into VERB.
+
+    A tags file carries three sentences per evaluation set of the whole
+    corpus, in corpus order: reference, candidate a, candidate b. Its
+    tokenization is authoritative for all metrics in the run. It is refused when
+    most picked sentences differ from their texts, as when shifted by a sentence.
+    """
+    # the sample depends on positions and the seed only: draw it first, and
+    # tag or tokenize only the picked sets
+    picked = range(len(corpus)) if sample is None else reservoir_sample(
+        range(len(corpus)), sample, seed)
+    sampled = [corpus[i] for i in picked]
+    if tags is not None:
+        sentences = load_tagged(tags)
+        if len(sentences) != 3 * len(corpus):
+            raise ValueError(
+                f"{tags}: expected {3 * len(corpus)} sentences "
+                f"(3 per evaluation set), found {len(sentences)}"
+            )
+        sentences = [sentences[3 * i + k] for i in picked for k in range(3)]
+        spelled = ("".join(tok.surface for tok, _ in sentence) for sentence in sentences)
+        differ = [j for j, (text, surfaces) in enumerate(zip(_texts(sampled), spelled))
+                  if "".join(text.split()).casefold() != "".join(surfaces.split()).casefold()]
+        if 2 * len(differ) > len(sentences):
+            i, k = divmod(differ[0], 3)
+            role = ("reference", "candidate a", "candidate b")[k]
+            raise ValueError(f"{tags}: sentence {3 * picked[i] + k + 1} does not match the "
+                             f"{role} of set {sampled[i].id!r}; {len(differ)} of {len(sentences)} "
+                             "sentences differ from --corpus")
+    elif tagger_model is not None:
+        model = load_model(tagger_model)
+        pairs = {}  # one (token, tag) pair per distinct pair of the run
+        sentences = [run_tagger(model, tokenize(text), pairs) for text in _texts(sampled)]
+    else:
+        sentences = [tokenize(text) for text in _texts(sampled)]
+    if (tags is not None or tagger_model is not None) and aux_as_verb:
+        # in place, so that a sentence and its folded copy are not both kept
+        for j, sentence in enumerate(sentences):
+            sentences[j] = remap_aux_to_verb(sentence)
+    it = iter(sentences)
+    return list(zip(sampled, it, it, it))
+
+
+def _duplicate_bad(row: Row) -> Row:
+    """The bad candidate said twice, as tokenize(f"{text} {text}") would give it."""
+    ev, *responses = row
+    i = 1 if ev.bad_slot == "a" else 2
+    bad = responses[i]
+    responses[i] = TaggedSentence(bad.items * 2) if isinstance(bad, TaggedSentence) else bad * 2
+    return (ev, *responses)
+
+
+def score_corpus(
+    corpus: Sequence[EvaluationSet], metrics: Sequence[Metric], *,
+    embeddings: str | Path | None = None, synonyms: str | Path | None = None,
+    external_scores: str | Path | None = None, count_punct: bool = True,
+    duplicate_bad: bool = False, tags: str | Path | None = None,
+    tagger_model: str | Path | None = None, aux_as_verb: bool = True,
+    sample: int | None = None, seed: int = 0,
+) -> tuple[list[EvaluationSet], dict[str, tuple[str, dict[str, tuple[float, float]]]]]:
+    """The rows of `prepare_corpus`, scored by `score_sets`: the sampled
+    corpus and the score table, metric id -> (tag set name, set id ->
+    (score a, score b)), both in id order. Ids without a tag set are the
+    base metrics and the external scores, which join as `ext:<file stem>`.
+    Only the `.vec` rows that the run's tokens look up are loaded.
+    """
+    has_tag_source = tags is not None or tagger_model is not None
+    for m in metrics:
+        if m.needs_embeddings and embeddings is None:
+            raise ValueError(f"metric {m.metric_id!r} requires --embeddings")
+        if m.needs_tags and not has_tag_source:
+            raise ValueError(
+                f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
+            )
+    lexicon = SynonymLexicon.load(synonyms) if synonyms is not None else None
+    rows = prepare_corpus(corpus, tags=tags, tagger_model=tagger_model,
+                          aux_as_verb=aux_as_verb, sample=sample, seed=seed)
+    table = None
+    if embeddings is not None and any(m.needs_embeddings for m in metrics):
+        vocab = {tok.norm for row in rows for r in row[1:]
+                 for tok in (r.tokens if isinstance(r, TaggedSentence) else r)}
+        table = load_vec(embeddings, vocab_filter=vocab)
+        if not table.index:
+            raise ValueError(f"{embeddings}: no token of the run has a vector in this file")
+    if duplicate_bad:
+        rows = [_duplicate_bad(row) for row in rows]
+    sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
+    scores = score_sets(metrics, sets, table, lexicon, count_punct)
+    columns = {m.metric_id: (m.tagset.name if m.tagset else "", scores[m.metric_id])
+               for m in metrics}
+    corpus = [row[0] for row in rows]
+    if external_scores is not None:
+        ext = load_external_scores(external_scores)
+        for ev in corpus:
+            if ev.id not in ext:
+                raise ValueError(f"{external_scores}: no scores for set {ev.id!r}")
+        columns[f"ext:{Path(external_scores).stem}"] = ("", ext)
+    return sorted(corpus, key=lambda e: e.id), dict(sorted(columns.items()))

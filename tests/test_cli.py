@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 import sys
@@ -1092,11 +1093,28 @@ class TestCommandFlags:
             offered = set(re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", help_text, re.MULTILINE))
             assert offered - {"--help"} == flags, command
 
+    def test_each_pipeline_keyword_is_one_flag_of_its_commands(self):
+        # the library pipeline takes today's flags as keywords, and no more
+        from posscore import prepare_corpus, score_corpus
+        from posscore.cli import _COMMAND_FLAGS
+
+        def keywords(function):
+            params = inspect.signature(function).parameters.values()
+            return {p.name.replace("_", "-") for p in params if p.kind is p.KEYWORD_ONLY}
+
+        run_flags = {"corpus", "tagset", "metrics", "out", "config"}
+        for command in ("score", "evaluate", "correlate"):
+            flags = set(_COMMAND_FLAGS[command][1]) - run_flags - {"baseline", "bonferroni"}
+            assert keywords(score_corpus) == flags, command
+        analyze_only = {"corpus", "tagset", "groups", "forum-json", "out", "config"}
+        assert keywords(prepare_corpus) == set(_COMMAND_FLAGS["analyze"][1]) - analyze_only
+        assert keywords(prepare_corpus) < keywords(score_corpus)
+
 
 class TestTokenizeOnce:
     @pytest.mark.parametrize("probe", [[], ["--duplicate-bad"]])
     def test_untagged_responses_tokenized_once(self, cli_workspace, tmp_path, monkeypatch, probe):
-        import posscore.cli as cli
+        import posscore.posmetrics as posmetrics
 
         calls = []
 
@@ -1104,7 +1122,7 @@ class TestTokenizeOnce:
             calls.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr(cli, "tokenize", counting_tokenize)
+        monkeypatch.setattr(posmetrics, "tokenize", counting_tokenize)
         corpus = tmp_path / "one.jsonl"
         write_mini_corpus(corpus, n=1)
         rc = run(
@@ -1187,7 +1205,7 @@ class TestSample:
                                                      monkeypatch):
         # the AUX fold runs on the picked sentences only, and the scores are
         # those of the whole loaded and folded file
-        import posscore.cli as cli
+        import posscore.posmetrics as posmetrics
         from posscore import load_vec
 
         folded = []
@@ -1196,7 +1214,7 @@ class TestSample:
             folded.append(sentence)
             return remap_aux_to_verb(sentence)
 
-        monkeypatch.setattr(cli, "remap_aux_to_verb", counting_fold)
+        monkeypatch.setattr(posmetrics, "remap_aux_to_verb", counting_fold)
         metrics = ["posscore", "pwe:bleu1", "ptlc:meteor:adv+verb"]
         out = tmp_path / "scores.csv"
         rc = run(
@@ -1223,7 +1241,7 @@ class TestSample:
 
     def test_tagger_runs_only_on_sampled_sets(self, cli_workspace, tagger_model, tmp_path,
                                               monkeypatch):
-        import posscore.cli as cli
+        import posscore.posmetrics as posmetrics
         from posscore.postag import tag
 
         calls = []
@@ -1232,7 +1250,7 @@ class TestSample:
             calls.append(tokens)
             return tag(model, tokens, *shared)
 
-        monkeypatch.setattr(cli, "run_tagger", counting_tagger)
+        monkeypatch.setattr(posmetrics, "run_tagger", counting_tagger)
         rc = run(
             "score",
             "--corpus", str(cli_workspace / "corpus.jsonl"),
@@ -1299,7 +1317,7 @@ class TestEmbeddingLoad:
         def refuse(*_args, **_kwargs):
             raise AssertionError("load_vec called")
 
-        monkeypatch.setattr("posscore.cli.load_vec", refuse)
+        monkeypatch.setattr("posscore.posmetrics.load_vec", refuse)
         out = tmp_path / "with_vec.csv"
         rc = run(*args, "--embeddings", str(cli_workspace / "vectors.vec"), "--out", str(out))
         assert rc == 0

@@ -54,3 +54,25 @@ def test_the_check_sees_an_unused_import():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["line 2: os"]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return modules | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                      for alias in node.names}
+
+
+def test_the_cli_only_parses_dispatches_and_writes():
+    # the pipeline is a library call (posmetrics.prepare_corpus / score_corpus),
+    # so only cli.py parses arguments, and it loads, tags and scores nothing itself
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert ("argparse" in imported_modules(tree)) == (path.name == "cli.py"), path.name
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names for name in (alias.name, alias.asname)}
+    pipeline = {"load_vec", "load_model", "remap_aux_to_verb", "score_sets",
+                "load_external_scores", "SynonymLexicon"}
+    assert names & pipeline == set()
