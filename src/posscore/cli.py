@@ -1,9 +1,9 @@
 """Command-line front end: parses flags and config files, runs each command
 on the library pipeline (`posmetrics.score_corpus`, or `prepare_corpus` for
-analyze and tag --corpus) and writes its output. Every command is a pure
-function of its flags and input files: identical inputs produce
-byte-identical outputs. Exit codes: 0 success, 1 internal error, 2 invalid
-config or input.
+analyze and tag --corpus) and writes its output. Identical inputs give
+identical bytes; no score goes through BLAS, and only libm's exp, log and
+lgamma (BLEU, POSSCORE's w, p-values) stay platform-dependent, as measured on
+glibc only. Exit codes: 0 success, 1 internal error, 2 invalid config or input.
 """
 
 from __future__ import annotations

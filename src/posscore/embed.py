@@ -87,7 +87,7 @@ class EmbeddingTable:
 def _row_problem(vec: np.ndarray) -> str | None:
     """Why `cosine` could not use this row (it squares the values), or None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(vec @ vec):
+        if math.isfinite(np.add.reduce(vec * vec)):  # the sum `cosine` makes
             return None
     return "squared norm past the float range" if np.isfinite(vec).all() else "non-finite value"
 
@@ -267,12 +267,12 @@ def cosine(u: SentenceVector, v: SentenceVector) -> float:
     """
     if u.values.shape != v.values.shape:
         raise ValueError(f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}")
-    nu = math.sqrt(u.values @ u.values)  # as np.linalg.norm computes it
-    nv = math.sqrt(v.values @ v.values)
+    nu = math.sqrt(np.add.reduce(u.values * u.values))  # not BLAS: one sum order on any CPU
+    nv = math.sqrt(np.add.reduce(v.values * v.values))
     if nu < 1e-12 or nv < 1e-12:
         return 0.0
     denominator = nu * nv
-    value = float(u.values @ v.values) / denominator
+    value = float(np.add.reduce(u.values * v.values)) / denominator
     if not (math.isfinite(denominator) and math.isfinite(value)):
         raise ValueError("cosine: vector values leave the float range")
     return max(-1.0, min(1.0, value))

@@ -1,10 +1,16 @@
 import gzip
+import hashlib
+import inspect
 import math
 import os
+import platform
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +567,81 @@ class TestCosine:
         u2 = average_embedding(toks("a"), scaled)
         v2 = average_embedding(toks("a", "b"), scaled)
         assert cosine(u1, v1) == pytest.approx(cosine(u2, v2), abs=1e-12)
+
+    def test_same_bytes_under_every_blas_kernel_this_cpu_runs(self, cli_workspace, tmp_path):
+        # a BLAS dot product sums in an order that depends on the CPU kernel,
+        # which once gave three sets of bytes for one score run
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"OpenBLAS kernels are named here for x86-64, not {platform.machine()}")
+        config = openblas("config")
+        if config is None or "DYNAMIC_ARCH" not in config.split():
+            pytest.skip(f"numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH ({config})")
+        flags = cpu_flags()
+        kernels = [kernel for kernel, needs in BLAS_KERNELS.items() if needs <= flags]
+        src = str(Path(__file__).parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        ws = cli_workspace
+        argv = ["score", "--corpus", str(ws / "corpus.jsonl"), "--tags", str(ws / "tags.tsv"),
+                "--embeddings", str(ws / "vectors.vec"), "--metrics", "posscore,ea", "--out"]
+        procs = {
+            kernel: subprocess.Popen(
+                [sys.executable, "-c", KERNEL_SCRIPT, *argv, str(tmp_path / f"{kernel}.csv")],
+                env={**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": pythonpath},
+                stdout=subprocess.PIPE, text=True)
+            for kernel in kernels
+        }
+        ran, outputs = {}, {}
+        for kernel, proc in procs.items():
+            ran[kernel] = proc.communicate()[0].strip()
+            assert proc.returncode == 0, kernel
+            outputs[kernel] = hashlib.sha256((tmp_path / f"{kernel}.csv").read_bytes()).hexdigest()
+        # OpenBLAS ran a different core for each (Prescott may call itself Katmai)
+        assert len(set(ran.values())) == len(kernels), ran
+        assert len(set(outputs.values())) == 1, outputs
+
+
+def openblas(query):
+    """What numpy's OpenBLAS answers to openblas_get_<query> ("config" or
+    "corename"), or None when this process has no OpenBLAS loaded that it finds.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        # wheels rename the symbols: openblas64_ adds 64_, scipy-openblas scipy_ as well
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
+            function = getattr(lib, f"{prefix}openblas_get_{query}{suffix}", None)
+            if function is not None:
+                function.restype = ctypes.c_char_p
+                return function().decode()
+    return None
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return set(next(line for line in fh if line.startswith("flags")).split(":")[1].split())
+    except (OSError, StopIteration):
+        return set()
+
+
+#: The OpenBLAS kernels the test runs, with the CPU flags each needs.
+BLAS_KERNELS = {"Prescott": set(), "Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f"}}
+
+#: Runs the CLI on its arguments, then prints the kernel OpenBLAS ran.
+KERNEL_SCRIPT = inspect.getsource(openblas) + """
+import sys
+from posscore.cli import main
+
+code = main(sys.argv[1:])
+print(openblas("corename"))
+sys.exit(code)
+"""
 
 
 class TestSentenceVector:
