@@ -123,14 +123,10 @@ _SCORE_KEYWORDS = _PREPARE_KEYWORDS + (
 )
 
 
-def _keywords(args: argparse.Namespace, names: Sequence[str]) -> dict:
-    return {name: getattr(args, name) for name in names}
-
-
 def _score_corpus(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
     corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
-    return score_corpus(corpus, metrics, **_keywords(args, _SCORE_KEYWORDS))
+    return score_corpus(corpus, metrics, **{k: getattr(args, k) for k in _SCORE_KEYWORDS})
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -211,7 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     corpus = load_jsonl(args.corpus)
     if args.tags is None and args.tagger_model is None:
         raise ValueError("analyze requires a tag source (--tags or --tagger-model)")
-    rows = prepare_corpus(corpus, **_keywords(args, _PREPARE_KEYWORDS))
+    rows = prepare_corpus(corpus, **{k: getattr(args, k) for k in _PREPARE_KEYWORDS})
     args.out.mkdir(parents=True, exist_ok=True)
     table = []
     for group in args.groups:

@@ -349,6 +349,8 @@ def prepare_corpus(
     tokenization is authoritative for all metrics in the run. It is refused when
     most picked sentences differ from their texts, as when shifted by a sentence.
     """
+    if tags is not None and tagger_model is not None:
+        raise ValueError("give --tags or --tagger-model, not both")
     # the sample depends on positions and the seed only: draw it first, and
     # tag or tokenize only the picked sets
     picked = range(len(corpus)) if sample is None else reservoir_sample(

@@ -617,7 +617,7 @@ def openblas(query):
         for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", "64_"), ("scipy_", "")):
             function = getattr(lib, f"{prefix}openblas_get_{query}{suffix}", None)
             if function is not None:
-                function.restype = ctypes.c_char_p
+                function.argtypes, function.restype = [], ctypes.c_char_p
                 return function().decode()
     return None
 

@@ -8,14 +8,17 @@ from hypothesis import example, given, strategies as st
 from posscore.basemetrics import PreparedTokens, bleu_n, embedding_average, meteor
 from posscore.core import ADOPTED_TAGS, PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
+from posscore.ingest import load_jsonl
 from posscore.posmetrics import (
     BASE_METRIC_IDS,
     Metric,
     pos_split,
     pos_weight,
     posscore,
+    prepare_corpus,
     ptlc,
     pwe,
+    score_corpus,
     score_sets,
 )
 
@@ -470,3 +473,20 @@ class TestInputThatDoesNotFit:
             raised.append(str(info.value))
         assert raised[0] == "unknown base metric 'rouge'; expected one of " + ", ".join(BASE_METRIC_IDS)
         assert raised == [raised[0]] * 3
+
+
+class TestPipeline:
+    def test_two_tag_sources_are_refused(self, cli_workspace, tmp_path):
+        # the CLI refuses them as flags; a library caller may not find the model ignored
+        model = tmp_path / "model.tsv"
+        model.write_text("")
+        corpus = load_jsonl(cli_workspace / "corpus.jsonl")
+        with pytest.raises(ValueError, match="give --tags or --tagger-model, not both"):
+            prepare_corpus(corpus, tags=cli_workspace / "tags.tsv", tagger_model=model)
+
+    def test_file_keywords_take_strings(self, cli_workspace):
+        corpus = load_jsonl(cli_workspace / "corpus.jsonl")
+        kept, table = score_corpus(corpus, [Metric("bleu1")],
+                                   external_scores=str(cli_workspace / "external.csv"))
+        assert list(table) == ["bleu1", "ext:external"]
+        assert [ev.id for ev in kept] == sorted(ev.id for ev in corpus)
