@@ -1,6 +1,6 @@
 """Command-line front end: parses flags and config files, runs each command
-on the library pipeline (`posmetrics.score_corpus`, or `prepare_corpus` for
-analyze and tag --corpus) and writes its output. Identical inputs give
+on the library pipeline (`posmetrics.prepare_corpus`, then `score_corpus` for
+score, evaluate and correlate) and writes its output. Identical inputs give
 identical bytes; no score goes through BLAS, and only libm's exp, log and
 lgamma (BLEU, POSSCORE's w, p-values) stay platform-dependent, as measured on
 glibc only. Exit codes: 0 success, 1 internal error, 2 invalid config or input.
@@ -118,15 +118,14 @@ def resolve_metrics(specs: Sequence[str], default_tagset: TagSet) -> list[Metric
 # the pipeline keywords a command passes on, each the name of one of its flags
 
 _PREPARE_KEYWORDS = ("tags", "tagger_model", "aux_as_verb", "sample", "seed")
-_SCORE_KEYWORDS = _PREPARE_KEYWORDS + (
-    "embeddings", "synonyms", "external_scores", "count_punct", "duplicate_bad"
-)
+_SCORE_KEYWORDS = ("embeddings", "synonyms", "external_scores", "count_punct", "duplicate_bad")
 
 
 def _score_corpus(args: argparse.Namespace) -> tuple[list[EvaluationSet], dict]:
     corpus = load_jsonl(args.corpus)
     metrics = resolve_metrics(args.metrics, args.tagset)
-    return score_corpus(corpus, metrics, **{k: getattr(args, k) for k in _SCORE_KEYWORDS})
+    rows = prepare_corpus(corpus, **{k: getattr(args, k) for k in _PREPARE_KEYWORDS})
+    return score_corpus(rows, metrics, **{k: getattr(args, k) for k in _SCORE_KEYWORDS})
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -402,7 +401,7 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse the flags. With --config, the file's values become the command's
     defaults and the flags are parsed again, so that flags win and each
     value goes through its flag's converter. Then check the required flags,
-    and that no second source of tags is given, which would go unread.
+    and that tag does not get both --train and --tagger-model.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -421,10 +420,8 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required")
-    model = getattr(args, "tagger_model", None)
-    for name in ("tags", "train"):
-        if model is not None and getattr(args, name, None) is not None:
-            raise ValueError(f"give --{name} or --tagger-model, not both")
+    if getattr(args, "train", None) is not None and args.tagger_model is not None:
+        raise ValueError("give --train or --tagger-model, not both")
     return args
 
 

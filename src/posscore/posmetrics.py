@@ -397,30 +397,33 @@ def _duplicate_bad(row: Row) -> Row:
 
 
 def score_corpus(
-    corpus: Sequence[EvaluationSet], metrics: Sequence[Metric], *,
+    rows: Sequence[Row], metrics: Sequence[Metric], *,
     embeddings: str | Path | None = None, synonyms: str | Path | None = None,
     external_scores: str | Path | None = None, count_punct: bool = True,
-    duplicate_bad: bool = False, tags: str | Path | None = None,
-    tagger_model: str | Path | None = None, aux_as_verb: bool = True,
-    sample: int | None = None, seed: int = 0,
+    duplicate_bad: bool = False,
 ) -> tuple[list[EvaluationSet], dict[str, tuple[str, dict[str, tuple[float, float]]]]]:
     """The rows of `prepare_corpus`, scored by `score_sets`: the sampled
     corpus and the score table, metric id -> (tag set name, set id ->
     (score a, score b)), both in id order. Ids without a tag set are the
     base metrics and the external scores, which join as `ext:<file stem>`.
-    Only the `.vec` rows that the run's tokens look up are loaded.
+    Only the `.vec` rows its tokens look up are loaded, and `rows` is left as it is.
     """
-    has_tag_source = tags is not None or tagger_model is not None
+    tagged = all(isinstance(r, TaggedSentence) for row in rows for r in row[1:])
     for m in metrics:
         if m.needs_embeddings and embeddings is None:
             raise ValueError(f"metric {m.metric_id!r} requires --embeddings")
-        if m.needs_tags and not has_tag_source:
+        if m.needs_tags and not tagged:
             raise ValueError(
                 f"metric {m.metric_id!r} requires a tag source (--tags or --tagger-model)"
             )
     lexicon = SynonymLexicon.load(synonyms) if synonyms is not None else None
-    rows = prepare_corpus(corpus, tags=tags, tagger_model=tagger_model,
-                          aux_as_verb=aux_as_verb, sample=sample, seed=seed)
+    columns = {}
+    if external_scores is not None:
+        ext = load_external_scores(external_scores)
+        for ev, *_ in rows:
+            if ev.id not in ext:
+                raise ValueError(f"{external_scores}: no scores for set {ev.id!r}")
+        columns[f"ext:{Path(external_scores).stem}"] = ("", ext)
     table = None
     if embeddings is not None and any(m.needs_embeddings for m in metrics):
         vocab = {tok.norm for row in rows for r in row[1:]
@@ -432,13 +435,6 @@ def score_corpus(
         rows = [_duplicate_bad(row) for row in rows]
     sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
     scores = score_sets(metrics, sets, table, lexicon, count_punct)
-    columns = {m.metric_id: (m.tagset.name if m.tagset else "", scores[m.metric_id])
-               for m in metrics}
-    corpus = [row[0] for row in rows]
-    if external_scores is not None:
-        ext = load_external_scores(external_scores)
-        for ev in corpus:
-            if ev.id not in ext:
-                raise ValueError(f"{external_scores}: no scores for set {ev.id!r}")
-        columns[f"ext:{Path(external_scores).stem}"] = ("", ext)
-    return sorted(corpus, key=lambda e: e.id), dict(sorted(columns.items()))
+    columns.update((m.metric_id, (m.tagset.name if m.tagset else "", scores[m.metric_id]))
+                   for m in metrics)
+    return sorted((row[0] for row in rows), key=lambda e: e.id), dict(sorted(columns.items()))

@@ -37,7 +37,8 @@ def test_readme_library_snippets_run(tmp_path, monkeypatch, capsys, cli_workspac
     assert namespace["scores"]["posscore"]["s1"][0] == namespace["score"].value
     assert namespace["table"].index.keys() == {w.casefold() for w in words}
 
-    # score_corpus on the CLI fixture gives the table that `posscore score` writes
+    # score_corpus on the CLI fixture gives the tables that `posscore score` writes,
+    # with and without --duplicate-bad, from rows prepared once
     workspace = tmp_path / "workspace"
     workspace.mkdir()
     for name in ("corpus.jsonl", "tags.tsv"):
@@ -46,12 +47,14 @@ def test_readme_library_snippets_run(tmp_path, monkeypatch, capsys, cli_workspac
     monkeypatch.chdir(workspace)
     exec(compile(blocks[2], "README.md", "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == len(namespace["table"]) == 3
-    rows = [[ev.id, slot, mid, tagset, repr(scores[ev.id][k])]
-            for ev in namespace["corpus"] for k, slot in enumerate("ab")
-            for mid, (tagset, scores) in namespace["table"].items()]
-    out = tmp_path / "scores.csv"
-    assert main(["score", "--corpus", "corpus.jsonl", "--tags", "tags.tsv",
-                 "--embeddings", "crawl-300d-2M.vec", "--metrics", "posscore,pwe:meteor,ea",
-                 "--out", str(out)]) == 0
-    with open(out, newline="", encoding="utf-8") as fh:
-        assert list(csv.reader(fh))[1:] == rows
+    for name, probe in (("table", []), ("doubled", ["--duplicate-bad"])):
+        rows = [[ev.id, slot, mid, tagset, repr(scores[ev.id][k])]
+                for ev in namespace["corpus"] for k, slot in enumerate("ab")
+                for mid, (tagset, scores) in namespace[name].items()]
+        out = tmp_path / f"{name}.csv"
+        assert main(["score", "--corpus", "corpus.jsonl", "--tags", "tags.tsv",
+                     "--embeddings", "crawl-300d-2M.vec", "--metrics", "posscore,pwe:meteor,ea",
+                     *probe, "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == rows
+    assert namespace["doubled"] != namespace["table"]

@@ -486,7 +486,24 @@ class TestPipeline:
 
     def test_file_keywords_take_strings(self, cli_workspace):
         corpus = load_jsonl(cli_workspace / "corpus.jsonl")
-        kept, table = score_corpus(corpus, [Metric("bleu1")],
+        rows = prepare_corpus(corpus, tags=str(cli_workspace / "tags.tsv"))
+        kept, table = score_corpus(rows, [Metric("bleu1")],
                                    external_scores=str(cli_workspace / "external.csv"))
         assert list(table) == ["bleu1", "ext:external"]
         assert [ev.id for ev in kept] == sorted(ev.id for ev in corpus)
+
+    def test_prepared_rows_can_be_scored_again(self, cli_workspace):
+        # score_corpus never changes its rows, so one prepared corpus serves many runs
+        corpus = load_jsonl(cli_workspace / "corpus.jsonl")
+        tags = cli_workspace / "tags.tsv"
+        metrics = [Metric.parse(spec, DEFAULT) for spec in ("posscore", "pwe:meteor", "bleu2", "ea")]
+        files = {"embeddings": cli_workspace / "vectors.vec",
+                 "synonyms": cli_workspace / "synonyms.tsv"}
+        rows = prepare_corpus(corpus, tags=tags)
+        tables = []
+        for duplicate_bad in (False, True, False):
+            tables.append(score_corpus(rows, metrics, duplicate_bad=duplicate_bad, **files))
+            fresh = prepare_corpus(corpus, tags=tags)
+            assert tables[-1] == score_corpus(fresh, metrics, duplicate_bad=duplicate_bad, **files)
+        assert tables[0] == tables[2] != tables[1]
+        assert rows == prepare_corpus(corpus, tags=tags)
