@@ -208,23 +208,28 @@ def _max_matching(adj: Sequence[Sequence[int]], start: Sequence[int]) -> list[in
     # searches visited, all matched, so no later augmenting path can use it:
     # it stays visited for good. A successful search clears its own marks.
     visited = [False] * len(match_of_ref)
+    # Equal stems share one row object. Every position of a row before the
+    # edge a search last took in it is visited, so each level starts there.
+    resume: dict[int, int] = {}
     for root in range(len(adj)):
         if root in matched:
             continue
         seen = []
+        resume.clear()
         # one [candidate, index of the edge it is trying] per level of the
         # search; a level below follows the candidate matched to that edge
         path = [[root, -1]]
         while path:
             top = path[-1]
             row = adj[top[0]]
-            k = top[1] + 1
+            k = resume.get(id(row), top[1] + 1)
             while k < len(row) and visited[row[k]]:
                 k += 1
             if k == len(row):
                 path.pop()
                 continue
             top[1] = k
+            resume[id(row)] = k + 1
             j = row[k]
             visited[j] = True
             seen.append(j)
@@ -338,15 +343,13 @@ def _min_chunk_alignment(adj: Sequence[Sequence[int]], n_ref: int) -> tuple[int,
 
     used = [False] * n_ref
     nodes = 0
-    exhausted = False
 
     def dfs(i: int, matched: int, chunks: int, prev_i: int, prev_j: int) -> None:
-        nonlocal best_chunks, nodes, exhausted
-        if exhausted or chunks >= best_chunks or best_chunks == bound:
+        nonlocal best_chunks, nodes
+        if nodes > _ALIGN_NODE_BUDGET or chunks >= best_chunks or best_chunks == bound:
             return
         nodes += 1
         if nodes > _ALIGN_NODE_BUDGET:
-            exhausted = True
             return
         if matched == target:
             best_chunks = chunks
@@ -367,7 +370,7 @@ def _min_chunk_alignment(adj: Sequence[Sequence[int]], n_ref: int) -> tuple[int,
         dfs(i + 1, matched, chunks, prev_i, prev_j)
 
     dfs(0, 0, 0, -2, -2)
-    return target, best_chunks, best_chunks == bound or not exhausted
+    return target, best_chunks, best_chunks == bound or nodes <= _ALIGN_NODE_BUDGET
 
 
 def meteor(

@@ -267,12 +267,13 @@ def cosine(u: SentenceVector, v: SentenceVector) -> float:
     """
     if u.values.shape != v.values.shape:
         raise ValueError(f"dimension mismatch: {u.values.shape[0]} vs {v.values.shape[0]}")
-    nu = math.sqrt(np.add.reduce(u.values * u.values))  # not BLAS: one sum order on any CPU
-    nv = math.sqrt(np.add.reduce(v.values * v.values))
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    denominator = nu * nv
-    value = float(np.add.reduce(u.values * v.values)) / denominator
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below raises
+        nu = math.sqrt(np.add.reduce(u.values * u.values))  # not BLAS: one sum order on any CPU
+        nv = math.sqrt(np.add.reduce(v.values * v.values))
+        if nu < 1e-12 or nv < 1e-12:
+            return 0.0
+        denominator = nu * nv
+        value = float(np.add.reduce(u.values * v.values)) / denominator
     if not (math.isfinite(denominator) and math.isfinite(value)):
         raise ValueError("cosine: vector values leave the float range")
     return max(-1.0, min(1.0, value))
