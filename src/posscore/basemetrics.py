@@ -208,8 +208,8 @@ def _max_matching(adj: Sequence[Sequence[int]], start: Sequence[int]) -> list[in
     # searches visited, all matched, so no later augmenting path can use it:
     # it stays visited for good. A successful search clears its own marks.
     visited = [False] * len(match_of_ref)
-    # Equal stems share one row object. Every position of a row before the
-    # edge a search last took in it is visited, so each level starts there.
+    # Equal stems share one row object. A search has visited every position
+    # of a row up to the last edge it took there, so each level resumes after it.
     resume: dict[int, int] = {}
     for root in range(len(adj)):
         if root in matched:

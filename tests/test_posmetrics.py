@@ -477,7 +477,7 @@ class TestInputThatDoesNotFit:
 
 class TestPipeline:
     def test_two_tag_sources_are_refused(self, cli_workspace, tmp_path):
-        # the CLI refuses them as flags; a library caller may not find the model ignored
+        # the one check of the two sources, for the CLI and library callers alike
         model = tmp_path / "model.tsv"
         model.write_text("")
         corpus = load_jsonl(cli_workspace / "corpus.jsonl")
