@@ -346,7 +346,7 @@ def _min_chunk_alignment(adj: Sequence[Sequence[int]], n_ref: int) -> tuple[int,
 
     def dfs(i: int, matched: int, chunks: int, prev_i: int, prev_j: int) -> None:
         nonlocal best_chunks, nodes
-        if nodes > _ALIGN_NODE_BUDGET or chunks >= best_chunks or best_chunks == bound:
+        if chunks >= best_chunks or best_chunks == bound:
             return
         nodes += 1
         if nodes > _ALIGN_NODE_BUDGET:

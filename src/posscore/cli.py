@@ -228,6 +228,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
+    if args.train is not None and args.tagger_model is not None:
+        raise ValueError("give --train or --tagger-model, not both")
     if (args.train is None) == (args.corpus is None):
         raise ValueError("tag needs exactly one of --train (fit a model) or --corpus (apply one)")
     if args.train is not None:
@@ -400,8 +402,7 @@ def load_config_file(path: Path) -> dict[str, str]:
 def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     """Parse the flags. With --config, the file's values become the command's
     defaults and the flags are parsed again, so that flags win and each
-    value goes through its flag's converter. Then check the required flags,
-    and that tag does not get both --train and --tagger-model.
+    value goes through its flag's converter. Then check the required flags.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -420,8 +421,6 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required")
-    if getattr(args, "train", None) is not None and args.tagger_model is not None:
-        raise ValueError("give --train or --tagger-model, not both")
     return args
 
 

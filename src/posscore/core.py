@@ -95,8 +95,6 @@ class TagSet:
         Names are case-insensitive, and the order given does not matter.
         """
         parts = [p.strip() for p in spec.split("+") if p.strip()]
-        if not parts:
-            raise ValueError("empty tag set string")
         return cls(frozenset(PosTag.parse(p.upper()) for p in parts))
 
 

@@ -106,30 +106,32 @@ def _flag(obj: dict, key: str, where: str) -> bool:
     return value
 
 
-def _malformed(path: Path, text: str, exc: ValueError, first_line: int = 1) -> ValueError:
-    """The error naming the line of path where json.loads rejected text,
-    which starts on first_line.
+def _json(path: Path, text: str, first_line: int = 1):
+    """text, which starts on line first_line of path, decoded as JSON. Every
+    rejection raises a ValueError naming the line of path.
 
     Besides JSONDecodeError, json.loads raises a plain ValueError without a
-    position for an integer longer than CPython's digit limit; the line of
-    the first run of that many digits is reported for it.
+    position for an integer longer than CPython's digit limit, reported at
+    the first run of that many digits, and RecursionError for arrays and
+    objects nested deeper than the interpreter's stack, reported at the
+    first line of text.
     """
-    if isinstance(exc, json.JSONDecodeError):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         line, msg = exc.lineno, exc.msg
-    else:
+    except ValueError as exc:
         long_int = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text)
         line, msg = text.count("\n", 0, long_int.start() if long_int else 0) + 1, str(exc)
-    return ValueError(f"{path}: line {first_line + line - 1}: malformed JSON ({msg})")
+    except RecursionError as exc:
+        line, msg = 1, str(exc)
+    raise ValueError(f"{path}: line {first_line + line - 1}: malformed JSON ({msg})") from None
 
 
 def _json_items(path: Path) -> Iterator[tuple[str, object]]:
     """Each item of the top-level JSON array in path, with its location."""
     with open_text(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise _malformed(path, text, exc) from None
+        data = _json(path, fh.read())
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a top-level JSON array")
     for k, item in enumerate(data):
@@ -162,10 +164,7 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise _malformed(path, line, exc, lineno) from None
+            obj = _json(path, line, lineno)
             set_id = _text(obj, "id", where)
             if set_id in first_line:
                 raise ValueError(

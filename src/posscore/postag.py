@@ -101,8 +101,7 @@ class _AveragedWeights:
 
     def __init__(self) -> None:
         self.weights: defaultdict[str, dict[int, float]] = defaultdict(dict)
-        self._totals: defaultdict[tuple[str, int], float] = defaultdict(float)
-        self._stamps: defaultdict[tuple[str, int], int] = defaultdict(int)
+        self._total_stamp: defaultdict[tuple[str, int], list] = defaultdict(lambda: [0.0, 0])
         self.instances = 0
 
     def update(self, truth: int, guess: int, feats: Sequence[str]) -> None:
@@ -114,10 +113,10 @@ class _AveragedWeights:
             self._bump(f, guess, -1.0)
 
     def _bump(self, f: str, t: int, delta: float) -> None:
-        key = (f, t)
         w = self.weights[f].get(t, 0.0)
-        self._totals[key] += (self.instances - self._stamps[key]) * w
-        self._stamps[key] = self.instances
+        record = self._total_stamp[f, t]
+        record[0] += (self.instances - record[1]) * w
+        record[1] = self.instances
         self.weights[f][t] = w + delta
 
     def averaged(self) -> dict[str, dict[int, float]]:
@@ -125,8 +124,8 @@ class _AveragedWeights:
         for f, tags in self.weights.items():
             row = {}
             for t, w in tags.items():
-                key = (f, t)
-                total = self._totals[key] + (self.instances - self._stamps[key]) * w
+                total, stamp = self._total_stamp[f, t]
+                total += (self.instances - stamp) * w
                 avg = total / self.instances if self.instances else 0.0
                 if avg != 0.0:
                     row[t] = avg

@@ -11,60 +11,41 @@ from __future__ import annotations
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _cv(word: str) -> str:
+    """word written as "c" for each consonant and "v" for each vowel, in one
+    left-to-right pass: every letter but a, e, i, o and u is a consonant,
+    except a y that follows a consonant.
+    """
+    letters = []
+    prev = "v"  # so that a leading y is a consonant
+    for c in word:
+        prev = "v" if c in _VOWELS or (c == "y" and prev == "c") else "c"
+        letters.append(prev)
+    return "".join(letters)
 
 
 def _measure(stem: str) -> int:
     """Number of VC sequences in [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        v = not _is_consonant(stem, i)
-        if prev_vowel and not v:
-            m += 1
-        prev_vowel = v
-    return m
+    return _cv(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _cv(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _cv(word).endswith("c")
 
 
 def _ends_cvc(word: str) -> bool:
     """*o condition: ends consonant-vowel-consonant, last not w, x, or y."""
-    if len(word) < 3:
-        return False
-    i = len(word) - 1
-    return (
-        _is_consonant(word, i)
-        and word[i] not in "wxy"
-        and not _is_consonant(word, i - 1)
-        and _is_consonant(word, i - 2)
-    )
+    return _cv(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
+    if word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
 
@@ -74,20 +55,18 @@ def _step1b(word: str) -> str:
         if _measure(word[:-3]) > 0:
             return word[:-1]
         return word
-    flag = False
     if word.endswith("ed") and _contains_vowel(word[:-2]):
         word = word[:-2]
-        flag = True
     elif word.endswith("ing") and _contains_vowel(word[:-3]):
         word = word[:-3]
-        flag = True
-    if flag:
-        if word.endswith(("at", "bl", "iz")):
-            return word + "e"
-        if _ends_double_consonant(word) and word[-1] not in "lsz":
-            return word[:-1]
-        if _measure(word) == 1 and _ends_cvc(word):
-            return word + "e"
+    else:
+        return word
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _measure(word) == 1 and _ends_cvc(word):
+        return word + "e"
     return word
 
 
