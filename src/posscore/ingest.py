@@ -80,6 +80,18 @@ def _text(obj, key: str, where: str) -> str:
     value = _field(obj, key, where)
     if not isinstance(value, str):
         raise ValueError(f"{where}: {key!r} must be a string, got {value!r}")
+    return _unicode(value, key, where)
+
+
+def _unicode(value: str, key: str, where: str) -> str:
+    """value, unless it holds a lone surrogate: a JSON escape can spell one,
+    but no UTF-8 output can hold it.
+    """
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        why = f"{exc.reason} at {exc.start}"
+        raise ValueError(f"{where}: {key!r} is not Unicode text ({why})") from None
     return value
 
 
@@ -107,14 +119,11 @@ def _flag(obj: dict, key: str, where: str) -> bool:
 
 
 def _json(path: Path, text: str, first_line: int = 1):
-    """text, which starts on line first_line of path, decoded as JSON. Every
-    rejection raises a ValueError naming the line of path.
-
-    Besides JSONDecodeError, json.loads raises a plain ValueError without a
-    position for an integer longer than CPython's digit limit, reported at
-    the first run of that many digits, and RecursionError for arrays and
-    objects nested deeper than the interpreter's stack, reported at the
-    first line of text.
+    """text, which starts on line first_line of path, decoded as JSON; each
+    rejection raises a ValueError naming its line. json.loads gives no
+    position for an integer over CPython's digit limit, reported at the first
+    run of that many digits, nor for nesting too deep for the interpreter's
+    stack (RecursionError), reported at the first line of text.
     """
     try:
         return json.loads(text)
@@ -141,10 +150,9 @@ def _json_items(path: Path) -> Iterator[tuple[str, object]]:
 def _as_context(value, where: str) -> tuple[str, ...]:
     if value is None:
         return ()
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
+    turns = [value] if isinstance(value, str) else value
+    if isinstance(turns, list) and all(isinstance(v, str) for v in turns):
+        return tuple(_unicode(v, "context", where) for v in turns)
     raise ValueError(f"{where}: 'context' must be a string or a list of strings")
 
 
@@ -205,28 +213,34 @@ def load_jsonl(path: str | Path) -> list[EvaluationSet]:
 
 def load_external_scores(path: str | Path) -> dict[str, tuple[float, float]]:
     """Read a ``set_id,slot,score`` CSV as set id -> (score a, score b). A bad
-    row, a repeated (set, slot) row or a set with one slot only raises, naming the row.
+    row, a repeated (set, slot) row, a row the csv module refuses (a field over
+    its size limit) or a set with one slot only raises, naming the row.
     """
     scores: dict[str, list] = {}  # set id -> [score a, score b, its first row]
+    rownum = 0  # the last row read
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["set_id", "slot", "score"]:
-            raise ValueError(f"{path}: expected header 'set_id,slot,score', got {header}")
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}: row {rownum}"
-            if len(row) != 3:
-                raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
-            set_id, slot, raw = row
-            if slot not in ("a", "b"):
-                raise ValueError(f"{where}: slot must be 'a' or 'b', got {slot!r}")
-            given = scores.setdefault(set_id, [None, None, rownum])
-            k = ("a", "b").index(slot)
-            if given[k] is not None:
-                raise ValueError(f"{where}: duplicate entry for {(set_id, slot)}")
-            given[k] = _score(raw, f"{where}: score")
+        try:
+            header = next(reader, None)
+            if header != ["set_id", "slot", "score"]:
+                raise ValueError(f"{path}: expected header 'set_id,slot,score', got {header}")
+            rownum = 1
+            for rownum, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                where = f"{path}: row {rownum}"
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+                set_id, slot, raw = row
+                if slot not in ("a", "b"):
+                    raise ValueError(f"{where}: slot must be 'a' or 'b', got {slot!r}")
+                given = scores.setdefault(set_id, [None, None, rownum])
+                k = ("a", "b").index(slot)
+                if given[k] is not None:
+                    raise ValueError(f"{where}: duplicate entry for {(set_id, slot)}")
+                given[k] = _score(raw, f"{where}: score")
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {rownum + 1}: {exc}") from None
     for set_id, (a, b, rownum) in scores.items():
         if a is None or b is None:
             raise ValueError(f"{path}: row {rownum}: set {set_id!r} has no slot "

@@ -336,6 +336,27 @@ def enum_predict(weights: Mapping[str, Mapping[PosTag, float]], feats: Sequence[
     return max(PosTag, key=lambda t: (scores.get(t, 0.0), -_TAG_ORDER[t]))
 
 
+def recursive_is_consonant(word: str, i: int) -> bool:
+    """Porter's consonant rule as his 1980 paper states it: a letter other
+    than a, e, i, o and u, and other than a y preceded by a consonant.
+    """
+    if word[i] in "aeiou":
+        return False
+    return word[i] != "y" or i == 0 or not recursive_is_consonant(word, i - 1)
+
+
+def porter_conditions(word: str) -> tuple[int, bool, bool, bool]:
+    """The measure m and the *v*, *d and *o conditions of word, each read
+    letter by letter from the recursive consonant rule.
+    """
+    cons = [recursive_is_consonant(word, i) for i in range(len(word))]
+    m = sum(1 for i in range(1, len(word)) if cons[i] and not cons[i - 1])
+    has_vowel = not all(cons)
+    double = len(word) >= 2 and word[-1] == word[-2] and cons[-1]
+    cvc = len(word) >= 3 and cons[-1] and not cons[-2] and cons[-3] and word[-1] not in "wxy"
+    return m, has_vowel, double, cvc
+
+
 # Published example vectors for the 1980 suffix-stripping algorithm,
 # spanning all five steps.
 PORTER_VECTORS = [

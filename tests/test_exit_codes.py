@@ -8,6 +8,7 @@ with the right sentence count but misaligned, so
 `test_sentence_edits_of_tags_exit_0_or_2` moves whole sentences instead.
 """
 
+import csv
 import gzip
 import json
 import random
@@ -218,3 +219,75 @@ def test_a_fault_in_a_command_exits_1(exc, said, workspace, tmp_path, capsys, mo
     assert main(["score", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(out)]) == 1
     line = broken.__code__.co_firstlineno + 1
     assert capsys.readouterr().err == f"internal error: {said} (test_exit_codes.py:{line} in broken)\n"
+
+
+#: Nesting deep enough for json.loads to raise RecursionError on every interpreter.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def middle_line(data: bytes, edit) -> tuple[int, bytes]:
+    """data with edit applied to the JSON object on its middle line, and that line's number."""
+    lines = data.splitlines(keepends=True)
+    k = len(lines) // 2
+    lines[k] = edit(lines[k].decode("utf-8")).encode("utf-8")
+    return k + 1, b"".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "usr", "forum"])
+def test_json_nested_too_deeply_names_the_file_and_line(kind, workspace, tmp_path, capsys):
+    # json.loads raised RecursionError, which once ended in an internal error
+    data = (workspace / KINDS[kind][0]).read_bytes()
+    if kind == "corpus":
+        line, data = middle_line(data, lambda text: text.replace('"context":', f'"x": {DEEP}, "context":'))
+    else:  # the whole file is one JSON text, which starts on line 1
+        line, data = 1, data.replace(b'"text":', f'"x": {DEEP}, "text":'.encode(), 1)
+    rc, err, path = run_case(kind, workspace, data, tmp_path, capsys)
+    assert rc == 2 and err.startswith(f"error: {path}: line {line}: malformed JSON (maximum recursion")
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_an_external_score_over_the_csv_field_limit_names_the_row(where, workspace, tmp_path, capsys):
+    # csv.Error once escaped load_external_scores and ended in an internal error
+    lines = (workspace / "external.csv").read_bytes().splitlines(keepends=True)
+    k = 0 if where == "header" else len(lines) // 2
+    lines[k] = b"s0001,a," + b"1" * (csv.field_size_limit() + 1) + b"\n"
+    rc, err, path = run_case("external", workspace, b"".join(lines), tmp_path, capsys)
+    assert rc == 2
+    assert err == f"error: {path}: row {k + 1}: field larger than field limit ({csv.field_size_limit()})\n"
+
+
+@pytest.mark.parametrize("kind, field, edit", [
+    ("corpus", "'id'", lambda obj: obj.update(id="s\udc80" + obj["id"])),
+    ("corpus", "'reference'", lambda obj: obj.update(reference="the \ud83d cat")),
+    ("corpus", "candidates[1]: 'text'", lambda obj: obj["candidates"][1].update(text="a\udfff")),
+    ("corpus", "'context'", lambda obj: obj.update(context=["fine", "\udc80"])),
+    ("usr", "responses[1]: 'text'", lambda obj: obj["responses"][1].update(text="\ud800!")),
+], ids=["corpus id", "corpus text", "candidate text", "corpus context", "usr text"])
+def test_a_lone_surrogate_names_the_line_and_field(kind, field, edit, workspace, tmp_path, capsys):
+    # a JSON escape can spell a lone surrogate, which no UTF-8 output can hold:
+    # score once wrote part of its CSV and then failed naming no file
+    def spoil(obj):
+        edit(obj)
+        return obj
+
+    data = (workspace / KINDS[kind][0]).read_bytes()
+    if kind == "corpus":
+        where, data = middle_line(data, lambda text: json.dumps(spoil(json.loads(text))) + "\n")
+        where = f"line {where}"
+    else:
+        items = json.loads(data)
+        items[0] = spoil(items[0])
+        where, data = "item 0", json.dumps(items, indent=1).encode()
+    rc, err, path = run_case(kind, workspace, data, tmp_path, capsys)
+    assert rc == 2 and re.fullmatch(
+        rf"error: {re.escape(f'{path}: {where}: {field}')} is not Unicode text "
+        r"\(surrogates not allowed at \d+\)\n", err), err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_long_run_of_y_is_stemmed(workspace, tmp_path, capsys):
+    # the consonant rule once recursed once per y: RecursionError, exit 1
+    data = (workspace / "corpus.jsonl").read_bytes()
+    _, data = middle_line(data, lambda text: text.replace('"text": "', '"text": "' + "y" * 2000 + "ness ", 1))
+    rc, err, _ = run_case("corpus", workspace, data, tmp_path, capsys)
+    assert (rc, err) == (0, "")

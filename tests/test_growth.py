@@ -1,22 +1,33 @@
-"""How METEOR's cost grows with input length.
+"""How each scorer's cost grows with input length.
 
 The cost is counted, not timed: the number of line events that
-`sys.settrace` sees in the package's own frames while one `meteor` call
-runs. The inputs are fixed, so the counts repeat exactly on any machine.
-Doubling both sides from 60 to 120 tokens may multiply the count by about
-4 where the number of match edges grows quadratically, and by about 2 where
-it grows linearly. A search that rescans what it has already visited shows
-up as a larger factor.
+`sys.settrace` sees in the package's own frames while one call runs. The
+inputs are fixed, so the counts repeat exactly on any machine. Doubling
+both sides from 60 to 120 tokens (or a statistic's input from 200 to 400
+values) may multiply the count by about 4 where the number of match edges
+grows quadratically, and by about 2 where the work grows linearly. A search
+that rescans what it has already visited shows up as a larger factor.
+Tables, lexicons, models and files are built outside the counted call.
+
+Not covered: the worst-case time of METEOR's branch-and-bound search at
+its node budget (`basemetrics._ALIGN_NODE_BUDGET`).
 """
 
+import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import posscore
-from posscore.basemetrics import meteor
-from posscore.core import tokenize
+from posscore.basemetrics import SynonymLexicon, bleu_n, embedding_average, meteor
+from posscore.core import DEFAULT_TAG_SET, TaggedSentence, _chunk_tokens, tokenize
+from posscore.embed import EmbeddingTable, load_vec
+from posscore.metaeval import AgreementVector, kendall_tau, paired_ttest
+from posscore.posmetrics import posscore as posscore_metric, ptlc, pwe
+from posscore.postag import load_tagged, tag, train, write_tagged
+from posscore.stem import porter_stem
 
 PACKAGE = str(Path(posscore.__file__).parent)
 
@@ -69,3 +80,120 @@ def test_meteor_cost_per_doubling(family):
     make, bound = FAMILIES[family]
     small, large = cost(*make(60)), cost(*make(120))
     assert large / small <= bound, (family, small, large, large / small)
+
+
+def table_for(*texts: str) -> EmbeddingTable:
+    """A small table with a distinct row for every word of texts."""
+    words = sorted({t.norm for text in texts for t in tokenize(text)})
+    return EmbeddingTable.from_dict({w: [1.0 + k % 7, 2.0 + k % 3, 0.5] for k, w in enumerate(words)})
+
+
+def one_tag(text: str, name: str = "NOUN") -> TaggedSentence:
+    return TaggedSentence.from_strings((t.surface, name) for t in tokenize(text))
+
+
+def on_pair(score, family: str, tagged: bool = False):
+    """make(n): the call of score(reference, candidate, table) on family's
+    pair at n tokens a side, every token tagged NOUN when tagged.
+    """
+    def make(n, tmp_path):
+        texts = FAMILIES[family][0](n)
+        table = table_for(*texts)
+        ref, cand = (one_tag(t) if tagged else tokenize(t) for t in texts)
+        return lambda: score(ref, cand, table)
+    return make
+
+
+def meteor_every_word_related(n, tmp_path):
+    # disjoint words on the two sides, each related to every word of the other
+    ref, cand = [f"r{i:03d}" for i in range(n)], [f"c{i:03d}" for i in range(n)]
+    lexicon = SynonymLexicon(list(product(ref, cand)))
+    ref_tokens, cand_tokens = tokenize(" ".join(ref)), tokenize(" ".join(reversed(cand)))
+    return lambda: meteor(ref_tokens, cand_tokens, lexicon)
+
+
+def values(n, seed, levels=None):
+    rng = random.Random(f"{seed}:{n}")
+    return [rng.randrange(levels) if levels else rng.random() for _ in range(n)]
+
+
+def kendall(levels=None):
+    def make(n, tmp_path):
+        x, y = values(n, 1, levels), values(n, 2, levels)
+        return lambda: kendall_tau(x, y)
+    return make
+
+
+def ttest(n, tmp_path):
+    ids = tuple(f"s{i}" for i in range(n))
+    a, b = (AgreementVector(ids, tuple(values(n, seed, 2))) for seed in (1, 2))
+    return lambda: paired_ttest(a, b)
+
+
+def tokenize_text(n, tmp_path):
+    text = " ".join(f"({w}), {w}!" for w in distinct(n // 2))
+    _chunk_tokens.cache_clear()  # so that the large text finds no word of the small one cached
+    return lambda: tokenize(text)
+
+
+def tagged_file(n, tmp_path):
+    path = tmp_path / f"tags-{n}.tsv"
+    write_tagged([one_tag(" ".join(distinct(n)))], path)
+    return lambda: load_tagged(path)
+
+
+def tagger(n, tmp_path):
+    model = train([one_tag("the cat sat on a mat", "X"), one_tag("w000 w001 w002")], epochs=1)
+    tokens = tokenize(" ".join(distinct(n)))
+    return lambda: tag(model, tokens)
+
+
+def vec_file(n, tmp_path):
+    path = tmp_path / f"vectors-{n}.vec"
+    words = distinct(n)
+    path.write_text(f"{n} 3\n" + "".join(f"{w} 0.5 {k}.25 -1\n" for k, w in enumerate(words)),
+                    encoding="utf-8")
+    return lambda: load_vec(path, set(words))
+
+
+def stem_y_run(n, tmp_path):
+    word = "y" * n + "ness"
+    return lambda: porter_stem(word)
+
+
+#: scorer and family -> (make(n, tmp_path), n, the largest factor per doubling)
+SCORERS = {
+    "bleu_n 4, one word repeated": (on_pair(lambda r, c, _: bleu_n(r, c, 4), "one word repeated"), 60, 2.5),
+    "bleu_n 4, distinct words reversed": (
+        on_pair(lambda r, c, _: bleu_n(r, c, 4), "distinct words reversed"), 60, 2.5),
+    "embedding_average, one word repeated": (on_pair(embedding_average, "one word repeated"), 60, 2.5),
+    "embedding_average, distinct words reversed": (
+        on_pair(embedding_average, "distinct words reversed"), 60, 2.5),
+    "posscore, one tag for every token": (on_pair(
+        lambda r, c, t: posscore_metric(r, c, DEFAULT_TAG_SET, t), "distinct words reversed", True),
+        60, 2.5),
+    "ptlc:bleu2, one tag for every token": (on_pair(
+        lambda r, c, t: ptlc(r, c, DEFAULT_TAG_SET, "bleu2"), "distinct words reversed", True),
+        60, 2.5),
+    **{f"{variant.__name__}:meteor, {family}": (on_pair(
+        lambda r, c, t, f=variant: f(r, c, DEFAULT_TAG_SET, "meteor", t), family, True), 60, bound)
+       for variant in (pwe, ptlc) for family, bound in
+       (("a b / b a", 4.5), ("one word repeated", 4.5), ("distinct words reversed", 2.5))},
+    "meteor, a lexicon that relates every word": (meteor_every_word_related, 60, 4.5),
+    "kendall_tau": (kendall(), 200, 2.5),
+    "kendall_tau, with ties": (kendall(levels=5), 200, 2.5),
+    "paired_ttest": (ttest, 200, 2.5),
+    "tokenize": (tokenize_text, 60, 2.5),
+    "load_tagged": (tagged_file, 60, 2.5),
+    "postag.tag": (tagger, 60, 2.5),
+    "load_vec": (vec_file, 60, 2.5),
+    "porter_stem, a run of y": (stem_y_run, 60, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", SCORERS)
+def test_cost_per_doubling(case, tmp_path):
+    make, n, bound = SCORERS[case]
+    small = line_events(make(n, tmp_path))
+    large = line_events(make(2 * n, tmp_path))
+    assert 0 < small and large / small <= bound, (case, small, large, large / small)
