@@ -238,7 +238,8 @@ def test_json_nested_too_deeply_names_the_file_and_line(kind, workspace, tmp_pat
     # json.loads raised RecursionError, which once ended in an internal error
     data = (workspace / KINDS[kind][0]).read_bytes()
     if kind == "corpus":
-        line, data = middle_line(data, lambda text: text.replace('"context":', f'"x": {DEEP}, "context":'))
+        line, data = middle_line(
+            data, lambda text: text.replace('"context":', f'"x": {DEEP}, "context":'))
     else:  # the whole file is one JSON text, which starts on line 1
         line, data = 1, data.replace(b'"text":', f'"x": {DEEP}, "text":'.encode(), 1)
     rc, err, path = run_case(kind, workspace, data, tmp_path, capsys)
@@ -246,14 +247,16 @@ def test_json_nested_too_deeply_names_the_file_and_line(kind, workspace, tmp_pat
 
 
 @pytest.mark.parametrize("where", ["header", "row"])
-def test_an_external_score_over_the_csv_field_limit_names_the_row(where, workspace, tmp_path, capsys):
+def test_an_external_score_over_the_csv_field_limit_names_the_row(where, workspace, tmp_path,
+                                                                    capsys):
     # csv.Error once escaped load_external_scores and ended in an internal error
     lines = (workspace / "external.csv").read_bytes().splitlines(keepends=True)
     k = 0 if where == "header" else len(lines) // 2
     lines[k] = b"s0001,a," + b"1" * (csv.field_size_limit() + 1) + b"\n"
     rc, err, path = run_case("external", workspace, b"".join(lines), tmp_path, capsys)
     assert rc == 2
-    assert err == f"error: {path}: row {k + 1}: field larger than field limit ({csv.field_size_limit()})\n"
+    limit = csv.field_size_limit()
+    assert err == f"error: {path}: row {k + 1}: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("kind, field, edit", [
@@ -272,8 +275,8 @@ def test_a_lone_surrogate_names_the_line_and_field(kind, field, edit, workspace,
 
     data = (workspace / KINDS[kind][0]).read_bytes()
     if kind == "corpus":
-        where, data = middle_line(data, lambda text: json.dumps(spoil(json.loads(text))) + "\n")
-        where = f"line {where}"
+        line, data = middle_line(data, lambda text: json.dumps(spoil(json.loads(text))) + "\n")
+        where = f"line {line}"
     else:
         items = json.loads(data)
         items[0] = spoil(items[0])
@@ -288,6 +291,7 @@ def test_a_lone_surrogate_names_the_line_and_field(kind, field, edit, workspace,
 def test_a_long_run_of_y_is_stemmed(workspace, tmp_path, capsys):
     # the consonant rule once recursed once per y: RecursionError, exit 1
     data = (workspace / "corpus.jsonl").read_bytes()
-    _, data = middle_line(data, lambda text: text.replace('"text": "', '"text": "' + "y" * 2000 + "ness ", 1))
+    word = "y" * 2000 + "ness"
+    _, data = middle_line(data, lambda text: text.replace('"text": "', f'"text": "{word} ', 1))
     rc, err, _ = run_case("corpus", workspace, data, tmp_path, capsys)
     assert (rc, err) == (0, "")

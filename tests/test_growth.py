@@ -85,7 +85,8 @@ def test_meteor_cost_per_doubling(family):
 def table_for(*texts: str) -> EmbeddingTable:
     """A small table with a distinct row for every word of texts."""
     words = sorted({t.norm for text in texts for t in tokenize(text)})
-    return EmbeddingTable.from_dict({w: [1.0 + k % 7, 2.0 + k % 3, 0.5] for k, w in enumerate(words)})
+    rows = {w: [1.0 + k % 7, 2.0 + k % 3, 0.5] for k, w in enumerate(words)}
+    return EmbeddingTable.from_dict(rows)
 
 
 def one_tag(text: str, name: str = "NOUN") -> TaggedSentence:
@@ -93,7 +94,7 @@ def one_tag(text: str, name: str = "NOUN") -> TaggedSentence:
 
 
 def on_pair(score, family: str, tagged: bool = False):
-    """make(n): the call of score(reference, candidate, table) on family's
+    """make(n, tmp_path): the call of score(reference, candidate, table) on family's
     pair at n tokens a side, every token tagged NOUN when tagged.
     """
     def make(n, tmp_path):
@@ -161,24 +162,37 @@ def stem_y_run(n, tmp_path):
     return lambda: porter_stem(word)
 
 
+def bleu4(ref, cand, table):
+    return bleu_n(ref, cand, 4)
+
+
+def posscore_default(ref, cand, table):
+    return posscore_metric(ref, cand, DEFAULT_TAG_SET, table)
+
+
+def ptlc_bleu2(ref, cand, table):
+    return ptlc(ref, cand, DEFAULT_TAG_SET, "bleu2")
+
+
+def over_meteor(variant):
+    """variant (pwe or ptlc) with METEOR as its base, on the default tag set."""
+    return lambda ref, cand, table: variant(ref, cand, DEFAULT_TAG_SET, "meteor", table)
+
+
 #: scorer and family -> (make(n, tmp_path), n, the largest factor per doubling)
 SCORERS = {
-    "bleu_n 4, one word repeated": (on_pair(lambda r, c, _: bleu_n(r, c, 4), "one word repeated"), 60, 2.5),
-    "bleu_n 4, distinct words reversed": (
-        on_pair(lambda r, c, _: bleu_n(r, c, 4), "distinct words reversed"), 60, 2.5),
-    "embedding_average, one word repeated": (on_pair(embedding_average, "one word repeated"), 60, 2.5),
-    "embedding_average, distinct words reversed": (
-        on_pair(embedding_average, "distinct words reversed"), 60, 2.5),
-    "posscore, one tag for every token": (on_pair(
-        lambda r, c, t: posscore_metric(r, c, DEFAULT_TAG_SET, t), "distinct words reversed", True),
-        60, 2.5),
-    "ptlc:bleu2, one tag for every token": (on_pair(
-        lambda r, c, t: ptlc(r, c, DEFAULT_TAG_SET, "bleu2"), "distinct words reversed", True),
-        60, 2.5),
-    **{f"{variant.__name__}:meteor, {family}": (on_pair(
-        lambda r, c, t, f=variant: f(r, c, DEFAULT_TAG_SET, "meteor", t), family, True), 60, bound)
-       for variant in (pwe, ptlc) for family, bound in
-       (("a b / b a", 4.5), ("one word repeated", 4.5), ("distinct words reversed", 2.5))},
+    **{f"{name}, {family}": (on_pair(score, family), 60, 2.5)
+       for name, score in (("bleu_n 4", bleu4), ("embedding_average", embedding_average))
+       for family in ("one word repeated", "distinct words reversed")},
+    "posscore, one tag for every token": (
+        on_pair(posscore_default, "distinct words reversed", tagged=True), 60, 2.5),
+    "ptlc:bleu2, one tag for every token": (
+        on_pair(ptlc_bleu2, "distinct words reversed", tagged=True), 60, 2.5),
+    **{f"{variant.__name__}:meteor, {family}": (
+        on_pair(over_meteor(variant), family, tagged=True), 60, bound)
+       for variant in (pwe, ptlc)
+       for family, bound in (("a b / b a", 4.5), ("one word repeated", 4.5),
+                             ("distinct words reversed", 2.5))},
     "meteor, a lexicon that relates every word": (meteor_every_word_related, 60, 4.5),
     "kendall_tau": (kendall(), 200, 2.5),
     "kendall_tau, with ties": (kendall(levels=5), 200, 2.5),

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posscore.stem import _contains_vowel, _cv, _ends_cvc, _ends_double_consonant, _measure, porter_stem
+from posscore.stem import (
+    _contains_vowel, _cv, _ends_cvc, _ends_double_consonant, _measure, porter_stem,
+)
 
 from oracles import PORTER_VECTORS, porter_conditions, recursive_is_consonant
 
@@ -39,5 +41,5 @@ def test_consonant_pass_matches_the_recursive_rule(word):
     # y-heavy words: a run of y alternates consonant and vowel from its first letter's state
     expected = "".join("c" if recursive_is_consonant(word, i) else "v" for i in range(len(word)))
     assert _cv(word) == expected
-    conditions = (_measure(word), _contains_vowel(word), _ends_double_consonant(word), _ends_cvc(word))
+    conditions = _measure(word), _contains_vowel(word), _ends_double_consonant(word), _ends_cvc(word)
     assert conditions == porter_conditions(word)
