@@ -84,9 +84,7 @@ def _text(obj, key: str, where: str) -> str:
 
 
 def _unicode(value: str, key: str, where: str) -> str:
-    """value, unless it holds a lone surrogate: a JSON escape can spell one,
-    but no UTF-8 output can hold it.
-    """
+    """value, unless it holds a lone surrogate: a JSON escape can spell one, UTF-8 cannot."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -219,13 +217,12 @@ def load_external_scores(path: str | Path) -> dict[str, tuple[float, float]]:
     scores: dict[str, list] = {}  # set id -> [score a, score b, its first row]
     rownum = 0  # the last row read
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+        rows = enumerate(csv.reader(fh), start=1)
         try:
-            header = next(reader, None)
+            rownum, header = next(rows, (1, None))
             if header != ["set_id", "slot", "score"]:
                 raise ValueError(f"{path}: expected header 'set_id,slot,score', got {header}")
-            rownum = 1
-            for rownum, row in enumerate(reader, start=2):
+            for rownum, row in rows:
                 if not row:
                     continue
                 where = f"{path}: row {rownum}"
