@@ -432,7 +432,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
-        where = traceback.extract_tb(exc.__traceback__)[-1]
+        # an exception from a scoring child of score_corpus brings its own innermost frame
+        where = getattr(exc, "posscore_frame", None) or traceback.extract_tb(exc.__traceback__)[-1]
         place = f"{Path(where.filename).name}:{where.lineno} in {where.name}"
         print(f"internal error: {type(exc).__name__}: {exc} ({place})", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ under an exponential length-ratio weight.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -28,7 +32,7 @@ from .basemetrics import (
 )
 from .core import DEFAULT_TAG_SET, EvaluationSet, PosTag, TaggedSentence, TagSet, Token, tokenize
 from .embed import EmbeddingTable, cosine, load_vec
-from .ingest import load_external_scores, reservoir_sample
+from .ingest import _unicode, load_external_scores, reservoir_sample
 from .postag import load_model, load_tagged, remap_aux_to_verb, tag as run_tagger
 
 #: Base metrics usable inside PWE and PTLC.
@@ -396,6 +400,54 @@ def _duplicate_bad(row: Row) -> Row:
     return (ev, *responses)
 
 
+#: Fewest sets per process; a child's fork and table transfer cost 2-7 ms, as 5-20 short sets do.
+_MIN_SETS_PER_PROCESS = 100
+
+
+def _score_in_slices(metrics: Sequence[Metric], sets: list, *resources):
+    """`score_sets` on one contiguous slice of sets per process, as `score_corpus` says."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = min(len(os.sched_getaffinity(0)), len(sets) // _MIN_SETS_PER_PROCESS) if can_fork else 1
+    if n < 2:
+        return score_sets(metrics, sets, *resources)
+    bounds = [len(sets) * k // n for k in range(n + 1)]
+    children = []  # (pid, read end of the pipe it writes its outcome to)
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # 3.12+ warns of fork() beside threads: numpy's BLAS pool, never called in a child
+                warnings.filterwarnings("ignore", ".*multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # leave by os._exit: run no exit handler, flush no inherited buffer
+                try:
+                    try:
+                        outcome = score_sets(metrics, sets[lo:hi], *resources)
+                    except BaseException as exc:  # sent with its innermost frame for cli.main
+                        exc.posscore_frame = traceback.extract_tb(exc.__traceback__)[-1]
+                        outcome = exc
+                    with open(write, "wb") as fh:
+                        fh.write(pickle.dumps(outcome))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        scores = score_sets(metrics, sets[:bounds[1]], *resources)
+    finally:  # every child is waited for, also when this process's slice raised
+        sent = []
+        for pid, read in children:
+            with open(read, "rb") as fh:
+                sent.append(fh.read())
+            os.waitpid(pid, 0)
+    for data in sent:  # empty when the child was killed before it wrote
+        outcome = pickle.loads(data) if data else RuntimeError("a scoring process sent nothing")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        for metric_id, column in outcome.items():
+            scores[metric_id].update(column)
+    return scores
+
+
 def score_corpus(
     rows: Sequence[Row], metrics: Sequence[Metric], *,
     embeddings: str | Path | None = None, synonyms: str | Path | None = None,
@@ -407,6 +459,10 @@ def score_corpus(
     (score a, score b)), both in id order. Ids without a tag set are the
     base metrics and the external scores, which join as `ext:<file stem>`.
     Only the `.vec` rows its tokens look up are loaded, and `rows` is left as it is.
+
+    Each CPU the process may run on (`taskset -c 0` gives one) scores a contiguous
+    slice of at least _MIN_SETS_PER_PROCESS sets: the first here, each other in a
+    forked child that exits before the call ends. The table or error is one process's.
     """
     tagged = all(isinstance(r, TaggedSentence) for row in rows for r in row[1:])
     for m in metrics:
@@ -419,11 +475,13 @@ def score_corpus(
     lexicon = SynonymLexicon.load(synonyms) if synonyms is not None else None
     columns = {}
     if external_scores is not None:
+        ext_id = f"ext:{Path(external_scores).stem}"  # a stem that is not UTF-8 has surrogates
+        _unicode(ext_id, ext_id, f"--external-scores {str(external_scores)!r}")
         ext = load_external_scores(external_scores)
         for ev, *_ in rows:
             if ev.id not in ext:
                 raise ValueError(f"{external_scores}: no scores for set {ev.id!r}")
-        columns[f"ext:{Path(external_scores).stem}"] = ("", ext)
+        columns[ext_id] = ("", ext)
     table = None
     if embeddings is not None and any(m.needs_embeddings for m in metrics):
         vocab = {tok.norm for row in rows for r in row[1:]
@@ -433,8 +491,8 @@ def score_corpus(
             raise ValueError(f"{embeddings}: no token of the run has a vector in this file")
     if duplicate_bad:
         rows = [_duplicate_bad(row) for row in rows]
-    sets = ((ev.id, ref, a, b) for ev, ref, a, b in rows)
-    scores = score_sets(metrics, sets, table, lexicon, count_punct)
+    sets = [(ev.id, ref, a, b) for ev, ref, a, b in rows]
+    scores = _score_in_slices(metrics, sets, table, lexicon, count_punct)
     columns.update((m.metric_id, (m.tagset.name if m.tagset else "", scores[m.metric_id]))
                    for m in metrics)
     return sorted((row[0] for row in rows), key=lambda e: e.id), dict(sorted(columns.items()))

@@ -11,6 +11,7 @@ with the right sentence count but misaligned, so
 import csv
 import gzip
 import json
+import os
 import random
 import re
 
@@ -295,3 +296,17 @@ def test_a_long_run_of_y_is_stemmed(workspace, tmp_path, capsys):
     _, data = middle_line(data, lambda text: text.replace('"text": "', f'"text": "{word} ', 1))
     rc, err, _ = run_case("corpus", workspace, data, tmp_path, capsys)
     assert (rc, err) == (0, "")
+
+
+def test_an_external_scores_file_name_that_is_not_utf8_is_named(workspace, tmp_path, capsys):
+    # the name reads with a surrogate in place of its byte, which went into the
+    # metric id ext:<file stem>: score wrote part of its CSV, then failed naming no file
+    path = tmp_path / os.fsdecode(b"ext\xff.csv")
+    path.write_bytes((workspace / "external.csv").read_bytes())
+    out = tmp_path / "out.csv"
+    rc = main(["score", "--corpus", str(workspace / "corpus.jsonl"), "--metrics", "bleu1",
+               "--external-scores", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: --external-scores {str(path)!r}: 'ext:ext\\udcff' "
+                                       "is not Unicode text (surrogates not allowed at 7)\n")
+    assert not out.exists()

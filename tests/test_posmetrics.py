@@ -1,11 +1,17 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from posscore import posmetrics
 from posscore.basemetrics import PreparedTokens, bleu_n, embedding_average, meteor
+from posscore.cli import main
 from posscore.core import ADOPTED_TAGS, PosTag, TaggedSentence, TagSet, Token
 from posscore.embed import EmbeddingTable
 from posscore.ingest import load_jsonl
@@ -23,6 +29,7 @@ from posscore.posmetrics import (
 )
 
 from conftest import random_tagged_sentence, tag_text
+from test_metamorphic import METRICS as WORKSPACE_METRICS, write_workspace
 
 NOUN_VERB = TagSet.parse("verb+noun")
 FULL = TagSet.parse("adj+adv+verb+propn+noun+pron")
@@ -507,3 +514,153 @@ class TestPipeline:
             assert tables[-1] == score_corpus(fresh, metrics, duplicate_bad=duplicate_bad, **files)
         assert tables[0] == tables[2] != tables[1]
         assert rows == prepare_corpus(corpus, tags=tags)
+
+
+def fan_out(monkeypatch, cpus: int, min_sets: int) -> list[int]:
+    """Let score_corpus see `cpus` usable CPUs and give a process `min_sets`
+    sets; the list returned collects the pids it forks."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(posmetrics, "_MIN_SETS_PER_PROCESS", min_sets)
+    return forked
+
+
+def hexed(table: dict) -> list:
+    """A score table in its order, each score by float.hex."""
+    return [(mid, tagset, [(sid, a.hex(), b.hex()) for sid, (a, b) in scores.items()])
+            for mid, (tagset, scores) in table.items()]
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_on(monkeypatch, exc_type: type, *words: str) -> int:
+    """Make bleu_n raise exc_type, naming the word, on a reference that holds
+    one of words; the line that raises."""
+    real = posmetrics.bleu_n
+
+    def failing_bleu_n(reference, candidate, n):
+        norms = {t.norm for t in getattr(reference, "tokens", reference)}
+        for word in words:
+            if word in norms:
+                raise exc_type(f"no bleu for {word!r}")
+        return real(reference, candidate, n)
+
+    monkeypatch.setattr(posmetrics, "bleu_n", failing_bleu_n)
+    return failing_bleu_n.__code__.co_firstlineno + 4
+
+
+@pytest.fixture(scope="module")
+def large_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fan-out")
+    write_workspace(root, seed=5)
+    return root
+
+
+class TestFanOut:
+    """score_corpus scores slices of the sets in forked children; what it
+    returns or raises is what one process returns or raises."""
+
+    SPECS = ("posscore", "pwe:meteor", "ptlc:bleu2", "ptlc:ea", "bleu4", "meteor", "ea")
+
+    def score(self, ws: Path, **keywords):
+        rows = prepare_corpus(load_jsonl(ws / "corpus.jsonl"), tags=ws / "tags.tsv")
+        return score_corpus(rows, [Metric.parse(spec, DEFAULT) for spec in self.SPECS],
+                            embeddings=ws / "vectors.vec", **keywords)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_many_processes_give_the_table_of_one(self, cpus, cli_workspace, monkeypatch):
+        files = {"synonyms": cli_workspace / "synonyms.tsv",
+                 "external_scores": cli_workspace / "external.csv"}
+        fan_out(monkeypatch, 1, 1)
+        one = [self.score(cli_workspace, duplicate_bad=d, **files) for d in (False, True)]
+        forked = fan_out(monkeypatch, cpus, 1)
+        many = [self.score(cli_workspace, duplicate_bad=d, **files) for d in (False, True)]
+        assert len(forked) == 2 * (cpus - 1)
+        for (corpus, table), (corpus_many, table_many) in zip(one, many):
+            assert corpus_many == corpus and hexed(table_many) == hexed(table)
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("sets, cpus, min_sets", [(7, 3, 2), (500, 3, 100)])
+    def test_uneven_slices_give_the_table_of_one(self, sets, cpus, min_sets, large_workspace,
+                                                  monkeypatch):
+        # 7 sets over 3 processes are 2, 2 and 3 sets; 500 are 166, 167 and 167
+        rows = prepare_corpus(load_jsonl(large_workspace / "corpus.jsonl"),
+                              tags=large_workspace / "tags.tsv")[:sets]
+        metrics = [Metric.parse(spec, DEFAULT) for spec in WORKSPACE_METRICS["score"]]
+        vec = large_workspace / "vectors.vec"
+        fan_out(monkeypatch, 1, min_sets)
+        corpus, table = score_corpus(rows, metrics, embeddings=vec)
+        forked = fan_out(monkeypatch, cpus, min_sets)
+        corpus_many, table_many = score_corpus(rows, metrics, embeddings=vec)
+        assert len(forked) == cpus - 1
+        assert corpus_many == corpus and hexed(table_many) == hexed(table)
+        assert_no_child_is_left()
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_one_process_where_os_lacks_a_call(self, missing, cli_workspace, monkeypatch):
+        forked = fan_out(monkeypatch, 4, 1)
+        monkeypatch.delattr(os, missing)
+        self.score(cli_workspace)
+        assert forked == []
+
+    # the fixture corpus's references hold "mat" in set 1, "flew" in set 3 and
+    # "slowly" in set 5, so that over 3 processes each slice holds one of them
+    @pytest.mark.parametrize("words, said", [
+        (("slowly",), "'slowly'"), (("slowly", "flew"), "'flew'"), (("slowly", "mat"), "'mat'"),
+    ], ids=["last slice", "second and last", "first and last"])
+    def test_the_first_error_in_set_order_is_raised(self, words, said, cli_workspace,
+                                                    monkeypatch):
+        fail_on(monkeypatch, ValueError, *words)
+        for cpus in (1, 3):
+            forked = fan_out(monkeypatch, cpus, 2)
+            with pytest.raises(ValueError, match=f"^no bleu for {said}$"):
+                self.score(cli_workspace)
+            assert len(forked) == cpus - 1
+            assert_no_child_is_left()
+
+    @pytest.mark.parametrize("exc_type, code, said", [
+        (ValueError, 2, "error: no bleu for 'slowly'\n"),
+        (KeyError, 1, "internal error: KeyError: \"no bleu for 'slowly'\" "
+                      "(test_posmetrics.py:{line} in failing_bleu_n)\n"),
+    ], ids=["input error", "internal error"])
+    def test_the_cli_says_what_one_process_says(self, exc_type, code, said, cli_workspace,
+                                                tmp_path, monkeypatch, capsys):
+        line = fail_on(monkeypatch, exc_type, "slowly")
+        out = tmp_path / "out.csv"
+        argv = ["score", "--corpus", str(cli_workspace / "corpus.jsonl"),
+                "--tags", str(cli_workspace / "tags.tsv"), "--metrics", "bleu1", "--out", str(out)]
+        for cpus in (1, 3):
+            forked = fan_out(monkeypatch, cpus, 2)
+            assert main(argv) == code
+            assert len(forked) == cpus - 1
+            assert capsys.readouterr().err == said.format(line=line)
+            assert not out.exists()
+            assert_no_child_is_left()
+
+    def test_a_forking_run_writes_nothing_to_stderr(self, large_workspace, tmp_path):
+        # -X dev shows every warning, such as 3.12's on fork() with threads
+        # running, and every file left open; with one usable CPU nothing forks
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out.csv"
+        argv = [sys.executable, "-X", "dev", "-m", "posscore.cli", "score",
+                "--corpus", str(large_workspace / "corpus.jsonl"),
+                "--tags", str(large_workspace / "tags.tsv"),
+                "--embeddings", str(large_workspace / "vectors.vec"),
+                "--metrics", "bleu2,meteor,posscore", "--out", str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.stat().st_size > 0
